@@ -123,7 +123,6 @@ inline void RunAllRegistered() {
 #include "graph/graph_builder.h"
 #include "grouping/grouping.h"
 #include "grouping/pivot_search.h"
-#include "index/block_postings.h"
 #include "index/inverted_index.h"
 #include "io/csv.h"
 #include "replace/candidate_gen.h"
@@ -535,225 +534,6 @@ void RunPostingKernelComparison() {
          set.size(), search_per_graph * 1e6);
 }
 
-// ---------------------------------------------------------------------
-// Posting-codec + skip-join comparison (ISSUE 6). Self-checking: every
-// number below is printed only after the block path reproduced the raw
-// path bit for bit — a bench that records garbage is worse than none.
-
-void BenchCheck(bool ok, const char* what) {
-  if (ok) return;
-  fprintf(stderr, "bench self-check FAILED: %s\n", what);
-  std::exit(1);
-}
-
-void RunPostingCodecComparison() {
-  using bench::BenchScale;
-  using bench::BenchSeed;
-  printf("\n=== Posting-codec comparison (JSON for the bench trajectory) "
-         "===\n\n");
-
-  AddressGenOptions gen;
-  gen.scale = BenchScale(0.05);
-  gen.seed = BenchSeed();
-  GeneratedDataset data = GenerateAddressDataset(gen);
-  CandidateSet candidates =
-      GenerateCandidates(data.column, CandidateGenOptions{});
-
-  LabelInterner interner;
-  GraphBuilder builder(GraphBuilderOptions{}, &interner);
-  GraphSet raw_set =
-      std::move(GraphSet::Build(candidates.pairs, builder)).value();
-  LabelInterner block_interner;
-  GraphBuilder block_builder(GraphBuilderOptions{}, &block_interner);
-  IndexBuildOptions build;
-  build.codec = IndexCodec::kBlock;
-  GraphSet block_set = std::move(GraphSet::Build(candidates.pairs,
-                                                 block_builder, nullptr,
-                                                 build))
-                           .value();
-  const InvertedIndex& raw = raw_set.index();
-  const InvertedIndex& block = block_set.index();
-  BenchCheck(block.codec() == IndexCodec::kBlock, "block codec requested");
-  BenchCheck(raw.NumPostings() == block.NumPostings(),
-             "posting counts match");
-
-  // Self-check: the block store materializes every raw list bit for bit.
-  PostingList expect, got;
-  for (LabelId label = 0; label < interner.size(); ++label) {
-    raw.Materialize(label, &expect);
-    block.Materialize(label, &got);
-    BenchCheck(expect == got, "block list materializes bit-identically");
-  }
-
-  const size_t postings = raw.NumPostings();
-  const size_t raw_bytes = raw.MemoryBytes();
-  const size_t block_bytes = block.MemoryBytes();
-  const BlockPostingStore::MemoryStats store_stats = block.store()->memory();
-  printf("{\"bench\": \"posting_codec_memory\", \"variant\": \"raw\", "
-         "\"postings\": %zu, \"bytes\": %zu, \"bytes_per_posting\": %.3f}\n",
-         postings, raw_bytes,
-         static_cast<double>(raw_bytes) / static_cast<double>(postings));
-  printf("{\"bench\": \"posting_codec_memory\", \"variant\": \"block\", "
-         "\"postings\": %zu, \"bytes\": %zu, \"bytes_per_posting\": %.3f, "
-         "\"compression_ratio\": %.2f, \"blocks\": %zu, "
-         "\"varint_blocks\": %zu, \"for_blocks\": %zu, "
-         "\"small_lists\": %zu}\n",
-         postings, block_bytes,
-         static_cast<double>(block_bytes) / static_cast<double>(postings),
-         static_cast<double>(raw_bytes) / static_cast<double>(block_bytes),
-         store_stats.blocks, store_stats.varint_blocks,
-         store_stats.for_blocks, store_stats.small_lists);
-
-  // Decode kernel: sequential block decode of every blocked list, checked
-  // against the raw lists once above.
-  const double min_seconds = 0.3;
-  size_t decoded_postings = 0;
-  PostingList decode_buf;
-  const BlockPostingStore& store = *block.store();
-  for (LabelId label = 0; label < interner.size(); ++label) {
-    const BlockPostingStore::LabelRef& ref = store.label(label);
-    if (ref.num_blocks > 0) decoded_postings += ref.count;
-  }
-  BenchCheck(decoded_postings > 0, "workload produced blocked lists");
-  const double decode_per_posting =
-      TimePerOp(decoded_postings, min_seconds, [&] {
-        for (LabelId label = 0; label < interner.size(); ++label) {
-          const BlockPostingStore::LabelRef& ref = store.label(label);
-          for (size_t b = 0; b < ref.num_blocks; ++b) {
-            decode_buf.resize(store.block(ref, b).count);
-            store.DecodeBlock(ref, b, decode_buf.data());
-            benchmark::DoNotOptimize(decode_buf.data());
-          }
-        }
-      });
-  printf("{\"bench\": \"posting_codec_decode\", \"variant\": \"block\", "
-         "\"postings\": %zu, \"ns_per_posting\": %.2f}\n",
-         decoded_postings, decode_per_posting * 1e9);
-
-  // Skip-join kernel: a narrow current band joined against every list.
-  // Whole blocks fall outside the band, so the cursor's graph bounds do
-  // real work; the raw join walks (gallops) the same lists instead.
-  const std::vector<char>& alive = raw_set.alive_vector();
-  PostingList band;
-  const GraphId band_lo = static_cast<GraphId>(raw_set.size() / 2);
-  const GraphId band_hi =
-      std::min<GraphId>(band_lo + 32, static_cast<GraphId>(raw_set.size()));
-  for (GraphId g = band_lo; g < band_hi; ++g) band.push_back(Posting(g, 1, 1));
-  std::vector<LabelId> labels;
-  for (LabelId label = 0; label < interner.size(); ++label) {
-    if (raw.ListLength(label) > 0) labels.push_back(label);
-  }
-  const size_t ops = labels.size();
-
-  PostingList raw_scratch;
-  const double raw_join = TimePerOp(ops, min_seconds, [&] {
-    for (LabelId label : labels) {
-      benchmark::DoNotOptimize(InvertedIndex::ExtendInto(
-          band, raw.Find(label), &alive, &raw_scratch));
-    }
-  });
-
-  PostingList block_scratch, decode_scratch;
-  uint64_t blocks_skipped = 0, blocks_decoded = 0;
-  const double block_join = TimePerOp(ops, min_seconds, [&] {
-    blocks_skipped = 0;
-    blocks_decoded = 0;
-    for (LabelId label : labels) {
-      ExtendControl control;
-      control.decode_scratch = &decode_scratch;
-      benchmark::DoNotOptimize(
-          InvertedIndex::ExtendInto(band, block.Postings(label), &alive,
-                                    &block_scratch, &control));
-      blocks_skipped += control.blocks_skipped;
-      blocks_decoded += control.blocks_decoded;
-    }
-  });
-  BenchCheck(blocks_skipped > 0, "skip-join kernel skipped blocks");
-
-  // Self-check + steady-state allocation count in one sweep.
-  const int64_t allocs_before =
-      g_heap_allocations.load(std::memory_order_relaxed);
-  for (LabelId label : labels) {
-    const ExtendStats raw_stats = InvertedIndex::ExtendInto(
-        band, raw.Find(label), &alive, &raw_scratch);
-    ExtendControl control;
-    control.decode_scratch = &decode_scratch;
-    const ExtendStats block_stats = InvertedIndex::ExtendInto(
-        band, block.Postings(label), &alive, &block_scratch, &control);
-    BenchCheck(raw_scratch == block_scratch &&
-                   raw_stats.distinct_graphs == block_stats.distinct_graphs &&
-                   raw_stats.hash == block_stats.hash,
-               "skip-join output matches the raw join");
-  }
-  const int64_t join_allocs =
-      g_heap_allocations.load(std::memory_order_relaxed) - allocs_before;
-  BenchCheck(join_allocs == 0, "steady-state block join allocates nothing");
-
-  printf("{\"bench\": \"skip_join_kernel\", \"variant\": \"raw\", "
-         "\"labels\": %zu, \"ns_per_extend\": %.1f}\n",
-         ops, raw_join * 1e9);
-  printf("{\"bench\": \"skip_join_kernel\", \"variant\": \"block\", "
-         "\"labels\": %zu, \"ns_per_extend\": %.1f, "
-         "\"blocks_skipped\": %llu, \"blocks_decoded\": %llu, "
-         "\"allocs_per_extend\": %.3f}\n",
-         ops, block_join * 1e9,
-         static_cast<unsigned long long>(blocks_skipped),
-         static_cast<unsigned long long>(blocks_decoded),
-         static_cast<double>(join_allocs) / static_cast<double>(2 * ops));
-
-  // End-to-end pivot search under both codecs with the early terminations
-  // on — where the prune threshold actually reaches the join. The block
-  // searcher must return bit-identical results.
-  PivotSearcher::Options search_options;
-  search_options.local_early_term = true;
-  search_options.global_early_term = true;
-  PivotSearcher raw_searcher(&raw_set, search_options);
-  PivotSearcher block_searcher(&block_set, search_options);
-  uint64_t search_skipped = 0, search_decoded = 0, search_pruned = 0;
-  {
-    std::vector<int> raw_bounds(raw_set.size(), 1);
-    std::vector<int> block_bounds(block_set.size(), 1);
-    for (GraphId g = 0; g < raw_set.size(); ++g) {
-      const PivotSearcher::SearchResult a =
-          raw_searcher.Search(g, 0, &raw_bounds);
-      const PivotSearcher::SearchResult b =
-          block_searcher.Search(g, 0, &block_bounds);
-      BenchCheck(a.found == b.found && a.path == b.path &&
-                     a.count == b.count && a.members == b.members,
-                 "block pivot search returns identical results");
-      search_skipped += b.blocks_skipped;
-      search_decoded += b.blocks_decoded;
-      search_pruned += b.joins_pruned;
-    }
-  }
-  BenchCheck(search_skipped > 0, "pivot search skipped blocks");
-  BenchCheck(search_pruned > 0, "pivot search pruned joins");
-
-  const double raw_search = TimePerOp(raw_set.size(), min_seconds, [&] {
-    std::vector<int> bounds(raw_set.size(), 1);
-    for (GraphId g = 0; g < raw_set.size(); ++g) {
-      benchmark::DoNotOptimize(raw_searcher.Search(g, 0, &bounds));
-    }
-  });
-  const double block_search = TimePerOp(block_set.size(), min_seconds, [&] {
-    std::vector<int> bounds(block_set.size(), 1);
-    for (GraphId g = 0; g < block_set.size(); ++g) {
-      benchmark::DoNotOptimize(block_searcher.Search(g, 0, &bounds));
-    }
-  });
-  printf("{\"bench\": \"pivot_search_codec\", \"variant\": \"raw\", "
-         "\"graphs\": %zu, \"us_per_search\": %.2f}\n",
-         raw_set.size(), raw_search * 1e6);
-  printf("{\"bench\": \"pivot_search_codec\", \"variant\": \"block\", "
-         "\"graphs\": %zu, \"us_per_search\": %.2f, "
-         "\"blocks_skipped\": %llu, \"blocks_decoded\": %llu, "
-         "\"joins_pruned\": %llu}\n",
-         block_set.size(), block_search * 1e6,
-         static_cast<unsigned long long>(search_skipped),
-         static_cast<unsigned long long>(search_decoded),
-         static_cast<unsigned long long>(search_pruned));
-}
-
 }  // namespace
 }  // namespace ustl
 
@@ -770,6 +550,5 @@ int main(int argc, char** argv) {
   benchmark::RunAllRegistered();
 #endif
   ustl::RunPostingKernelComparison();
-  ustl::RunPostingCodecComparison();
   return 0;
 }

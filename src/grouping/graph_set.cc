@@ -4,8 +4,7 @@ namespace ustl {
 
 Result<GraphSet> GraphSet::Build(const std::vector<StringPair>& pairs,
                                  const GraphBuilder& builder,
-                                 ThreadPool* pool,
-                                 const IndexBuildOptions& index_options) {
+                                 ThreadPool* pool) {
   GraphSet set;
   std::vector<GraphBuilder::BuildRequest> requests;
   requests.reserve(pairs.size());
@@ -21,8 +20,7 @@ Result<GraphSet> GraphSet::Build(const std::vector<StringPair>& pairs,
   // is bit-identical to a serial build either way).
   set.index_ = InvertedIndex::Build(
       set.graphs_, pool, /*num_shards=*/0,
-      builder.interner() != nullptr ? builder.interner()->size() : 0,
-      index_options);
+      builder.interner() != nullptr ? builder.interner()->size() : 0);
   set.alive_.assign(set.graphs_.size(), 1);
   set.interner_ = builder.interner();
   return set;

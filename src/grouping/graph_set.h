@@ -27,13 +27,10 @@ class GraphSet {
   /// graphs concurrently (GraphBuilder::BuildBatch) and builds the
   /// inverted index in label-range shards (InvertedIndex::Build); the
   /// result — graphs, interner ids and index — is bit-identical to the
-  /// serial build. `index_options` selects the posting storage codec
-  /// (raw packed arrays or block compression); groups are byte-identical
-  /// either way.
+  /// serial build.
   static Result<GraphSet> Build(const std::vector<StringPair>& pairs,
                                 const GraphBuilder& builder,
-                                ThreadPool* pool = nullptr,
-                                const IndexBuildOptions& index_options = {});
+                                ThreadPool* pool = nullptr);
 
   const std::vector<TransformationGraph>& graphs() const { return graphs_; }
   /// The interner the graphs were built against (borrowed; must outlive

@@ -114,12 +114,8 @@ std::vector<Group> GroupAllUpfront(const std::vector<StringPair>& pairs,
         // The pool also accelerates graph construction and the sharded
         // index build inside a partition; nested use from a worker thread
         // runs inline (single-shard).
-        IndexBuildOptions index_options;
-        index_options.codec = options.index_codec;
-        index_options.block = options.block_postings;
         Result<GraphSet> set = GraphSet::Build(SelectPairs(pairs, indices),
-                                               builder, pool.get(),
-                                               index_options);
+                                               builder, pool.get());
         USTL_CHECK(set.ok());
 
         OneShotOptions oneshot;
@@ -157,9 +153,6 @@ std::vector<Group> GroupAllUpfront(const std::vector<StringPair>& pairs,
     for (Group& group : out.groups) groups.push_back(std::move(group));
     search_stats.expansions += out.stats.expansions;
     search_stats.truncated = search_stats.truncated || out.stats.truncated;
-    search_stats.blocks_skipped += out.stats.blocks_skipped;
-    search_stats.blocks_decoded += out.stats.blocks_decoded;
-    search_stats.joins_pruned += out.stats.joins_pruned;
   }
 
   std::stable_sort(groups.begin(), groups.end(),
@@ -171,9 +164,6 @@ std::vector<Group> GroupAllUpfront(const std::vector<StringPair>& pairs,
     stats->expansions = search_stats.expansions;
     stats->truncated = search_stats.truncated;
     stats->num_groups = groups.size();
-    stats->blocks_skipped = search_stats.blocks_skipped;
-    stats->blocks_decoded = search_stats.blocks_decoded;
-    stats->joins_pruned = search_stats.joins_pruned;
   }
   return groups;
 }
@@ -260,12 +250,8 @@ void GroupingEngine::Preprocess(SubGroup* sub) {
   // The pool parallelizes graph construction and index sharding within
   // the group; when this Preprocess itself runs on a pool worker
   // (RefineBatch), the nested calls degrade to the serial loop.
-  IndexBuildOptions index_options;
-  index_options.codec = options_.index_codec;
-  index_options.block = options_.block_postings;
-  Result<GraphSet> set =
-      GraphSet::Build(SelectPairs(pairs_, sub->pair_indices), builder,
-                      pool_.get(), index_options);
+  Result<GraphSet> set = GraphSet::Build(
+      SelectPairs(pairs_, sub->pair_indices), builder, pool_.get());
   USTL_CHECK(set.ok());
   IncrementalOptions inc_options;
   inc_options.max_path_len = options_.max_path_len;
@@ -444,9 +430,6 @@ IncrementalStats GroupingEngine::stats() const {
     out.speculative_searches += stats.speculative_searches;
     out.speculative_hits += stats.speculative_hits;
     out.warm_hits += stats.warm_hits;
-    out.blocks_skipped += stats.blocks_skipped;
-    out.blocks_decoded += stats.blocks_decoded;
-    out.joins_pruned += stats.joins_pruned;
     out.truncated |= stats.truncated;
   }
   return out;

@@ -75,14 +75,8 @@ struct GroupingOptions {
   /// warm or cold. The pipeline and the consolidation service own one
   /// cache per run / per service; null disables sharing.
   SearchResultCache* shared_search_cache = nullptr;
-  /// Posting-list storage codec of every structure group's inverted
-  /// index (index/inverted_index.h): kRaw keeps the flat packed arrays,
-  /// kBlock re-encodes them into compressed, skippable blocks whose
-  /// cursor also prunes joins against the early-termination thresholds.
-  /// Groups are byte-identical for either codec (the byte-compare legs
-  /// in check.sh/CI sweep both); the codec moves memory and skip/prune
-  /// statistics only, which is why it stays OUT of the search-cache
-  /// content key — raw and block runs share warm starts.
+  /// Unread stubs, kept only for perfbench/traced.cc; see
+  /// IndexBuildOptions in index/inverted_index.h.
   IndexCodec index_codec = IndexCodec::kRaw;
   BlockPostingsOptions block_postings;
   /// Worker threads for graph construction, per-structure-group
@@ -116,10 +110,6 @@ struct UpfrontStats {
   uint64_t expansions = 0;
   bool truncated = false;
   size_t num_groups = 0;
-  /// Block-codec cursor counters (0 under the raw codec).
-  uint64_t blocks_skipped = 0;
-  uint64_t blocks_decoded = 0;
-  uint64_t joins_pruned = 0;
 };
 
 /// Runs the upfront partitioner over all pairs: builds every graph, indexes

@@ -157,9 +157,6 @@ bool IncrementalEngine::CacheLookup(GraphId g,
   out->count = entry->count;
   out->expansions = 0;
   out->truncated = false;
-  out->blocks_skipped = 0;
-  out->blocks_decoded = 0;
-  out->joins_pruned = 0;
   if (warm != nullptr) *warm = entry->warm;
   if (speculative != nullptr) *speculative = entry->speculative;
   return true;
@@ -212,9 +209,6 @@ void IncrementalEngine::SerialScan(const std::vector<GraphId>& order,
     ++stats_.searches;
     stats_.expansions += result.expansions;
     stats_.truncated |= result.truncated;
-    stats_.blocks_skipped += result.blocks_skipped;
-    stats_.blocks_decoded += result.blocks_decoded;
-    stats_.joins_pruned += result.joins_pruned;
     if (result.found) {
       // Under sampling these bounds are in sample units (under-estimates
       // of full counts); the ordering they induce is approximate, which
@@ -298,9 +292,6 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
     } else {
       ++stats_.searches;
       stats_.expansions += slot->result.expansions;
-      stats_.blocks_skipped += slot->result.blocks_skipped;
-      stats_.blocks_decoded += slot->result.blocks_decoded;
-      stats_.joins_pruned += slot->result.joins_pruned;
       // Merge the private Glo raises back (entries only ever rise, so
       // an element-wise max reproduces the in-place writes).
       if (!slot->bounds.empty()) {
@@ -422,9 +413,6 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
         ++stats_.searches;
         ++stats_.speculative_searches;
         stats_.expansions += slot.result.expansions;
-        stats_.blocks_skipped += slot.result.blocks_skipped;
-        stats_.blocks_decoded += slot.result.blocks_decoded;
-        stats_.joins_pruned += slot.result.joins_pruned;
         if (reuse && slot.result.found) {
           CacheStore(slot.g, slot.result, /*speculative=*/true);
         }

@@ -145,12 +145,6 @@ struct IncrementalStats {
   /// (IncrementalOptions::shared_cache): DFS work another engine already
   /// paid for.
   uint64_t warm_hits = 0;
-  /// Block-codec cursor counters, summed over every search this engine
-  /// ran (0 on raw indexes; see pivot_search.h). Like expansions these
-  /// are statistics, not state: skips and prunes never change a group.
-  uint64_t blocks_skipped = 0;
-  uint64_t blocks_decoded = 0;
-  uint64_t joins_pruned = 0;
   /// True once the engine gave up exactness: some search truncated or the
   /// total expansion budget ran out.
   bool truncated = false;

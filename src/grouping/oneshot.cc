@@ -33,9 +33,6 @@ std::vector<ReplacementGroup> UnsupervisedGrouping(
     uint64_t expansions = 0;
     bool truncated = false;
     bool found = false;
-    uint64_t blocks_skipped = 0;
-    uint64_t blocks_decoded = 0;
-    uint64_t joins_pruned = 0;
   };
   std::vector<Pivot> pivots(order.size());
   const auto keep = [](PivotSearcher::SearchResult result, Pivot* out) {
@@ -43,9 +40,6 @@ std::vector<ReplacementGroup> UnsupervisedGrouping(
     out->expansions = result.expansions;
     out->truncated = result.truncated;
     out->found = result.found;
-    out->blocks_skipped = result.blocks_skipped;
-    out->blocks_decoded = result.blocks_decoded;
-    out->joins_pruned = result.joins_pruned;
   };
 
   const bool unbounded =
@@ -97,9 +91,6 @@ std::vector<ReplacementGroup> UnsupervisedGrouping(
     if (stats != nullptr) {
       stats->expansions += pivot.expansions;
       stats->truncated = stats->truncated || pivot.truncated;
-      stats->blocks_skipped += pivot.blocks_skipped;
-      stats->blocks_decoded += pivot.blocks_decoded;
-      stats->joins_pruned += pivot.joins_pruned;
     }
     // Every graph contains at least its full-width ConstantStr path, so a
     // pivot is always found at threshold 0 (unless truncated mid-search,

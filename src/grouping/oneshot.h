@@ -35,10 +35,6 @@ struct OneShotOptions {
 struct OneShotStats {
   uint64_t expansions = 0;
   bool truncated = false;
-  /// Block-codec cursor counters (0 on raw indexes; pivot_search.h).
-  uint64_t blocks_skipped = 0;
-  uint64_t blocks_decoded = 0;
-  uint64_t joins_pruned = 0;
 };
 
 /// Partitions the alive graphs of `set` into pivot-path groups, largest

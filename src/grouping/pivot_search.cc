@@ -27,7 +27,6 @@ struct Move {
 struct PivotSearcher::DfsState {
   struct Level {
     PostingList extended;     // ExtendInto target for this depth
-    PostingList decode_buf;   // block-decode arena for this depth's joins
     std::vector<Move> moves;  // outgoing moves of the current node
     // Sibling-dedup store for the current node: target node + content
     // hash as the cheap key, materialized list for the collision-proof
@@ -49,9 +48,6 @@ struct PivotSearcher::DfsState {
   int best_count = 0;  // starts at the acceptance threshold
   uint64_t expansions = 0;
   bool truncated = false;
-  uint64_t blocks_skipped = 0;
-  uint64_t blocks_decoded = 0;
-  uint64_t joins_pruned = 0;
   PostingScratch scratch;
 };
 
@@ -165,32 +161,9 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
         static_cast<int>(upper) < (*lower_bounds)[g]) {
       continue;
     }
-    // Feed the acceptance thresholds down into the join: min_distinct is
-    // the smallest distinct-graph count the post-join checks below would
-    // let through, so the block cursor may abandon (and skip decoding
-    // for) any join that provably cannot reach it — the full result
-    // would land in one of those `continue`s anyway. Raw indexes take
-    // the exact legacy merge; the control then reports nothing.
-    ExtendControl control;
-    control.decode_scratch = &level.decode_buf;
-    control.current_distinct = list_distinct;
-    if (options_.local_early_term) {
-      control.min_distinct = state->best_count + 1;
-    }
-    if (options_.global_early_term && lower_bounds != nullptr) {
-      control.min_distinct =
-          std::max(control.min_distinct, (*lower_bounds)[g]);
-    }
     const ExtendStats stats =
-        InvertedIndex::ExtendInto(list, set_->index().Postings(move.label),
-                                  &set_->alive_vector(), &level.extended,
-                                  &control);
-    state->blocks_skipped += control.blocks_skipped;
-    state->blocks_decoded += control.blocks_decoded;
-    if (control.pruned) {
-      ++state->joins_pruned;
-      continue;
-    }
+        InvertedIndex::ExtendInto(list, set_->index().Find(move.label),
+                                  &set_->alive_vector(), &level.extended);
     if (level.extended.empty()) continue;
     if (options_.local_early_term &&
         static_cast<int>(stats.distinct_graphs) <= state->best_count) {
@@ -264,9 +237,6 @@ PivotSearcher::SearchResult PivotSearcher::Search(
   SearchResult result;
   result.expansions = state.expansions;
   result.truncated = state.truncated;
-  result.blocks_skipped = state.blocks_skipped;
-  result.blocks_decoded = state.blocks_decoded;
-  result.joins_pruned = state.joins_pruned;
   if (!state.best_path.empty()) {
     result.found = true;
     result.path = std::move(state.best_path);
@@ -282,7 +252,7 @@ PivotSearcher::SearchResult PivotSearcher::Search(
         if (set_->alive(other)) full.push_back(Posting(other, 1, 1));
       }
       for (LabelId label : result.path) {
-        full = InvertedIndex::Extend(full, set_->index().Postings(label),
+        full = InvertedIndex::Extend(full, set_->index().Find(label),
                                      &set_->alive_vector());
       }
       CompleteMembers(*set_, full, &result.members);

@@ -43,14 +43,6 @@ class PivotSearcher {
     int count = 0;                  // members.size()
     uint64_t expansions = 0;        // DFS nodes visited (for Figure 9)
     bool truncated = false;         // hit max_expansions
-    // Block-codec cursor statistics (always 0 on raw indexes). Skips and
-    // prunes never change the search outcome — skipped blocks provably
-    // contribute nothing and pruned joins are results the threshold
-    // checks would discard — so these move with the codec while every
-    // field above stays byte-identical.
-    uint64_t blocks_skipped = 0;    // blocks rejected on graph bounds
-    uint64_t blocks_decoded = 0;    // blocks actually decoded
-    uint64_t joins_pruned = 0;      // joins abandoned below the threshold
   };
 
   PivotSearcher(const GraphSet* set, Options options)

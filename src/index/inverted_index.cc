@@ -4,23 +4,14 @@
 
 #include "common/parallel.h"
 #include "common/status.h"
-#include "index/block_postings.h"
 
 namespace ustl {
 
 const PostingList InvertedIndex::kEmpty;
 
-// Out of line for the unique_ptr<BlockPostingStore> member (the header
-// only forward-declares the store).
-InvertedIndex::InvertedIndex() = default;
-InvertedIndex::~InvertedIndex() = default;
-InvertedIndex::InvertedIndex(InvertedIndex&&) noexcept = default;
-InvertedIndex& InvertedIndex::operator=(InvertedIndex&&) noexcept = default;
-
 InvertedIndex InvertedIndex::Build(
     const std::vector<TransformationGraph>& graphs, ThreadPool* pool,
-    size_t num_shards, size_t num_labels_hint,
-    const IndexBuildOptions& build_options) {
+    size_t num_shards, size_t num_labels_hint, const IndexBuildOptions&) {
   InvertedIndex index;
   // Field-width guards of the packed layout: graph ids fit 32 bits, node
   // ids 16. One cheap check per graph, kept in release builds because the
@@ -52,15 +43,7 @@ InvertedIndex InvertedIndex::Build(
         });
     for (size_t bound : bounds) num_labels = std::max(num_labels, bound);
   }
-  if (num_labels == 0) {
-    // Still honor the codec request so an empty index reports the mode
-    // it was built with.
-    if (build_options.codec == IndexCodec::kBlock) {
-      index.store_ = std::make_unique<BlockPostingStore>();
-      index.codec_ = IndexCodec::kBlock;
-    }
-    return index;
-  }
+  if (num_labels == 0) return index;
   index.lists_.resize(num_labels);
 
   size_t shards = num_shards;
@@ -136,80 +119,27 @@ InvertedIndex InvertedIndex::Build(
     USTL_DCHECK(std::is_sorted(list.begin(), list.end()));
     (void)list;
   }
-
-  // Block codec: re-encode the freshly built raw lists into the arena
-  // store and drop them. Encoding is a pure per-list function of the
-  // (bit-identical) raw lists, so the store is itself bit-identical for
-  // any pool/shard count; peak memory is raw + one label above the
-  // compressed size (lists are released as they encode).
-  if (build_options.codec == IndexCodec::kBlock) {
-    index.store_ = std::make_unique<BlockPostingStore>(
-        BlockPostingStore::Encode(std::move(index.lists_),
-                                  build_options.block));
-    index.lists_ = std::vector<PostingList>();
-    index.codec_ = IndexCodec::kBlock;
-  }
   return index;
 }
 
 const PostingList& InvertedIndex::Find(LabelId label) const {
-  // Block-mode lists have no flat array to hand out; a caller reaching
-  // for one is a bug, not a fallback case.
-  USTL_CHECK(codec_ == IndexCodec::kRaw);
   if (label >= lists_.size()) return kEmpty;
   return lists_[label];
 }
 
-PostingsRef InvertedIndex::Postings(LabelId label) const {
-  PostingsRef ref;
-  if (codec_ == IndexCodec::kRaw) {
-    const PostingList& list = Find(label);
-    ref.data = list.data();
-    ref.count = list.size();
-    return ref;
-  }
-  const BlockPostingStore::LabelRef& entry = store_->label(label);
-  ref.count = entry.count;
-  ref.label = label;
-  if (entry.num_blocks == 0) {
-    ref.data = store_->SmallSpan(entry);  // raw arena span
-  } else {
-    ref.store = store_.get();
-  }
-  return ref;
-}
-
-void InvertedIndex::Materialize(LabelId label, PostingList* out) const {
-  if (codec_ == IndexCodec::kRaw) {
-    *out = Find(label);
-    return;
-  }
-  store_->Materialize(label, out);
-}
-
 size_t InvertedIndex::ListLength(LabelId label) const {
-  if (codec_ == IndexCodec::kRaw) {
-    return label < lists_.size() ? lists_[label].size() : 0;
-  }
-  return store_->label(label).count;
+  return label < lists_.size() ? lists_[label].size() : 0;
 }
 
 size_t InvertedIndex::NumLabels() const {
   size_t count = 0;
-  if (codec_ == IndexCodec::kRaw) {
-    for (const PostingList& list : lists_) {
-      if (!list.empty()) ++count;
-    }
-    return count;
-  }
-  for (size_t label = 0; label < store_->num_labels(); ++label) {
-    if (store_->label(static_cast<LabelId>(label)).count > 0) ++count;
+  for (const PostingList& list : lists_) {
+    if (!list.empty()) ++count;
   }
   return count;
 }
 
 size_t InvertedIndex::MemoryBytes() const {
-  if (codec_ == IndexCodec::kBlock) return store_->memory().total_bytes();
   size_t bytes = lists_.size() * sizeof(PostingList);
   for (const PostingList& list : lists_) {
     bytes += list.size() * sizeof(Posting);
@@ -218,7 +148,6 @@ size_t InvertedIndex::MemoryBytes() const {
 }
 
 size_t InvertedIndex::NumPostings() const {
-  if (codec_ == IndexCodec::kBlock) return store_->memory().postings;
   size_t count = 0;
   for (const PostingList& list : lists_) count += list.size();
   return count;
@@ -252,22 +181,24 @@ size_t GallopTo(const Posting* list, size_t n, size_t i, GraphId g) {
   return hi;
 }
 
-// The merge-join core over one contiguous span of the label list.
-// Resumable: `*i` is the cursor into `current`, carried across spans so
-// the block cursor can feed one block at a time; stats and `out`
-// accumulate. Blocks are graph-aligned (block_postings.h), so each call
-// sees whole graph runs and the run-local sort/dedup/hash below is
-// byte-identical to a single call over the whole list.
-void MergeSpan(const PostingList& current, size_t* i, const Posting* span,
-               size_t n, const std::vector<char>* alive, PostingList* out,
-               ExtendStats* stats) {
+}  // namespace
+
+ExtendStats InvertedIndex::ExtendInto(const PostingList& current,
+                                      const PostingList& label_list,
+                                      const std::vector<char>* alive,
+                                      PostingList* out) {
+  out->clear();
+  ExtendStats stats;
+  const Posting* span = label_list.data();
+  const size_t n = label_list.size();
   // Merge join on graph id; within one graph, pair (a, b) x (b, c).
+  size_t i = 0;
   size_t j = 0;
-  while (*i < current.size() && j < n) {
-    const GraphId gi = current[*i].graph();
+  while (i < current.size() && j < n) {
+    const GraphId gi = current[i].graph();
     const GraphId gj = span[j].graph();
     if (gi < gj) {
-      *i = GallopTo(current.data(), current.size(), *i, gj);
+      i = GallopTo(current.data(), current.size(), i, gj);
       continue;
     }
     if (gj < gi) {
@@ -275,18 +206,18 @@ void MergeSpan(const PostingList& current, size_t* i, const Posting* span,
       continue;
     }
     if (alive != nullptr && !(*alive)[gi]) {
-      while (*i < current.size() && current[*i].graph() == gi) ++*i;
+      while (i < current.size() && current[i].graph() == gi) ++i;
       while (j < n && span[j].graph() == gi) ++j;
       continue;
     }
-    size_t i_end = *i;
+    size_t i_end = i;
     while (i_end < current.size() && current[i_end].graph() == gi) ++i_end;
     size_t j_end = j;
     while (j_end < n && span[j_end].graph() == gi) ++j_end;
     // Both runs are small in practice; a nested loop keeps this simple and
     // cache-friendly.
     const size_t run_begin = out->size();
-    for (size_t a = *i; a < i_end; ++a) {
+    for (size_t a = i; a < i_end; ++a) {
       for (size_t b = j; b < j_end; ++b) {
         if (current[a].end() == span[b].start()) {
           out->push_back(Posting::Join(current[a], span[b]));
@@ -303,92 +234,14 @@ void MergeSpan(const PostingList& current, size_t* i, const Posting* span,
         out->erase(std::unique(out->begin() + run_begin, out->end()),
                    out->end());
       }
-      ++stats->distinct_graphs;
+      ++stats.distinct_graphs;
       for (size_t k = run_begin; k < out->size(); ++k) {
-        stats->hash ^= (*out)[k].bits();
-        stats->hash *= kPostingHashPrime;
+        stats.hash ^= (*out)[k].bits();
+        stats.hash *= kPostingHashPrime;
       }
     }
-    *i = i_end;
+    i = i_end;
     j = j_end;
-  }
-}
-
-}  // namespace
-
-ExtendStats InvertedIndex::ExtendInto(const PostingList& current,
-                                      const PostingList& label_list,
-                                      const std::vector<char>* alive,
-                                      PostingList* out) {
-  out->clear();
-  ExtendStats stats;
-  size_t i = 0;
-  MergeSpan(current, &i, label_list.data(), label_list.size(), alive, out,
-            &stats);
-  return stats;
-}
-
-ExtendStats InvertedIndex::ExtendInto(const PostingList& current,
-                                      const PostingsRef& label_list,
-                                      const std::vector<char>* alive,
-                                      PostingList* out,
-                                      ExtendControl* control) {
-  if (!label_list.blocked()) {
-    // Raw span (raw-codec index or a block-mode small list): the exact
-    // legacy merge. No skip opportunities at this granularity, so the
-    // control carries nothing back.
-    out->clear();
-    ExtendStats stats;
-    size_t i = 0;
-    MergeSpan(current, &i, label_list.data, label_list.count, alive, out,
-              &stats);
-    return stats;
-  }
-
-  const BlockPostingStore& store = *label_list.store;
-  const BlockPostingStore::LabelRef& ref = store.label(label_list.label);
-  USTL_CHECK(control != nullptr && control->decode_scratch != nullptr);
-  PostingList& scratch = *control->decode_scratch;
-  out->clear();
-  ExtendStats stats;
-  size_t i = 0;
-  const GraphId current_max =
-      current.empty() ? 0 : current.back().graph();
-  for (size_t b = 0; b < ref.num_blocks; ++b) {
-    if (i >= current.size()) break;
-    const BlockPostingStore::Block& block = store.block(ref, b);
-    const GraphId block_min = Posting::FromBits(block.first_bits).graph();
-    // Graph-bound skips: provably disjoint blocks never decode. These
-    // skips cannot change output — the merge would have galloped past
-    // the block's whole range anyway.
-    if (store.BlockMaxGraph(ref, b) < current[i].graph()) {
-      ++control->blocks_skipped;
-      continue;
-    }
-    if (block_min > current_max) {
-      control->blocks_skipped += ref.num_blocks - b;
-      break;
-    }
-    // Threshold prune: the final distinct count can no longer reach what
-    // the caller would accept, so the full join result would be
-    // discarded — stop paying for it. Per-block distinct sums are exact
-    // (graph alignment), and remaining postings of `current` bound what
-    // the suffix can still contribute.
-    if (control->min_distinct > 0) {
-      const size_t remaining = std::min(
-          std::min(store.SuffixDistinct(ref, b), control->current_distinct),
-          current.size() - i);
-      if (stats.distinct_graphs + remaining <
-          static_cast<size_t>(control->min_distinct)) {
-        control->pruned = true;
-        break;
-      }
-    }
-    scratch.resize(block.count);
-    store.DecodeBlock(ref, b, scratch.data());
-    ++control->blocks_decoded;
-    MergeSpan(current, &i, scratch.data(), scratch.size(), alive, out,
-              &stats);
   }
   return stats;
 }
@@ -398,21 +251,6 @@ PostingList InvertedIndex::Extend(const PostingList& current,
                                   const std::vector<char>* alive) {
   PostingList out;
   ExtendInto(current, label_list, alive, &out);
-  return out;
-}
-
-PostingList InvertedIndex::Extend(const PostingList& current,
-                                  const PostingsRef& label_list,
-                                  const std::vector<char>* alive) {
-  PostingList out;
-  if (label_list.blocked()) {
-    PostingList scratch;
-    ExtendControl control;
-    control.decode_scratch = &scratch;
-    ExtendInto(current, label_list, alive, &out, &control);
-  } else {
-    ExtendInto(current, label_list, alive, &out);
-  }
   return out;
 }
 

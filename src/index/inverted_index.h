@@ -21,8 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "graph/transformation_graph.h"
@@ -30,7 +28,6 @@
 namespace ustl {
 
 class ThreadPool;
-class BlockPostingStore;
 
 /// One occurrence of a path: it spans nodes [start, end] of `graph`.
 /// Packed as graph (32 bits) | start (16) | end (16); the field order
@@ -106,92 +103,21 @@ struct ExtendStats {
 /// auto-sharding ran 0.39x serial speed.
 inline constexpr size_t kAutoShardMinLabels = 1 << 14;
 
-/// Posting storage of an index. kRaw keeps every list as the flat packed
-/// uint64 array above — the default until the block layer's byte-compare
-/// legs have run everywhere. kBlock re-encodes the lists into the
-/// compressed, skippable BlockPostingStore (block_postings.h). Joins are
-/// byte-identical either way; the codec moves memory and skip statistics
-/// only.
-enum class IndexCodec : uint8_t {
-  kRaw = 0,
-  kBlock = 1,
-};
-
-/// Partitioning knobs of the kBlock layout (see block_postings.h).
-struct BlockPostingsOptions {
-  /// Preferred postings per block; blocks close at the first graph-run
-  /// boundary past it. Skip granularity and decode latency both scale
-  /// with this.
-  size_t target_block_size = 128;
-  /// Hard cap a greedy merge may not cross (single oversized graph runs
-  /// still get one block — runs never straddle blocks).
-  size_t max_block_size = 512;
-  /// Lists of at most this many postings stay raw in a shared word
-  /// arena: codec headers lose to the data at those sizes, and the
-  /// address-style corpora are dominated by such lists.
-  size_t small_list_cutoff = 4;
-  /// Greedy partitioning: additionally close a block early when the
-  /// frame-of-reference cost of merging the next graph run exceeds the
-  /// cost of a split. Off = fixed target-size blocks.
-  bool greedy_partition = true;
-};
-
+/// Build options of an index: an empty stub. Postings are always stored
+/// as the flat packed arrays above, and these names survive only because
+/// perfbench/traced.cc still copies GroupingOptions::{index_codec,
+/// block_postings} into IndexBuildOptions::{codec, block}. The stub goes
+/// once the benchmark stops setting them.
+enum class IndexCodec : uint8_t { kRaw = 0 };
+struct BlockPostingsOptions {};
 struct IndexBuildOptions {
   IndexCodec codec = IndexCodec::kRaw;
   BlockPostingsOptions block;
 };
 
-/// A borrowed view of one label's postings, raw or block-compressed.
-/// Raw-mode indexes (and the small lists of block mode) expose a direct
-/// span; blocked lists carry the store + label handle and are decoded
-/// block-by-block inside ExtendInto.
-struct PostingsRef {
-  const Posting* data = nullptr;          // raw span when store == nullptr
-  size_t count = 0;                       // total postings either way
-  const BlockPostingStore* store = nullptr;
-  LabelId label = 0;
-
-  size_t size() const { return count; }
-  bool blocked() const { return store != nullptr; }
-};
-
-/// Skip/prune contract of the block-aware ExtendInto overload. Inputs
-/// feed the pivot-search thresholds down into the join; outputs report
-/// what the block cursor did. The skip rules never change a byte of
-/// output: a block is skipped on graph bounds only when it provably
-/// intersects nothing, and the threshold prune only abandons joins whose
-/// full result the caller would discard against the same thresholds —
-/// `pruned` tells the caller to do exactly that.
-struct ExtendControl {
-  /// Smallest distinct-graph count the caller would accept (max of the
-  /// local best-so-far + 1 and the global Glo bound). 0 disables the
-  /// prune; graph-bound skipping stays on.
-  int min_distinct = 0;
-  /// Distinct graphs in `current` (callers get it fused from the join
-  /// that produced the list); caps what any suffix can still add.
-  size_t current_distinct = std::numeric_limits<size_t>::max();
-  /// Caller-owned decode arena for blocked lists (capacity is retained
-  /// across joins, so the steady state stays allocation-free). Required
-  /// when the list is blocked.
-  PostingList* decode_scratch = nullptr;
-
-  /// True when the join was abandoned because the distinct upper bound
-  /// fell below min_distinct; the output list is partial and must be
-  /// discarded (the caller's threshold checks would have discarded the
-  /// full result anyway).
-  bool pruned = false;
-  uint64_t blocks_skipped = 0;
-  uint64_t blocks_decoded = 0;
-};
-
 /// Immutable label -> posting-list map over a set of graphs.
 class InvertedIndex {
  public:
-  InvertedIndex();
-  ~InvertedIndex();
-  InvertedIndex(InvertedIndex&&) noexcept;
-  InvertedIndex& operator=(InvertedIndex&&) noexcept;
-
   /// Indexes every (edge, label) pair of every graph. Graph ids are the
   /// positions in `graphs`. A non-null `pool` builds label-range shards
   /// concurrently; the result is bit-identical for every (pool,
@@ -203,25 +129,16 @@ class InvertedIndex {
   /// full graph scan per shard, which loses on small inputs. An explicit
   /// num_shards is always honored. `num_labels_hint` (e.g. the interner
   /// size) skips the pre-sizing scan when the caller already knows an
-  /// upper bound on label ids; 0 means "scan for the maximum".
+  /// upper bound on label ids; 0 means "scan for the maximum". The
+  /// IndexBuildOptions stub is ignored.
   static InvertedIndex Build(const std::vector<TransformationGraph>& graphs,
                              ThreadPool* pool = nullptr,
                              size_t num_shards = 0,
                              size_t num_labels_hint = 0,
-                             const IndexBuildOptions& build_options = {});
+                             const IndexBuildOptions& = {});
 
   /// The posting list for `label`; empty if the label never occurs.
-  /// Raw-codec indexes only — block-mode lists have no flat array to
-  /// return (use Postings / Materialize).
   const PostingList& Find(LabelId label) const;
-
-  /// Codec-agnostic view of `label`'s postings, the hot-path handle the
-  /// searchers join through.
-  PostingsRef Postings(LabelId label) const;
-
-  /// Whole-list decode into a caller buffer; works for both codecs (raw
-  /// copies). Cold paths and tests.
-  void Materialize(LabelId label, PostingList* out) const;
 
   /// |I[label]|, used for the upper bounds of Section 6.2.
   size_t ListLength(LabelId label) const;
@@ -229,16 +146,10 @@ class InvertedIndex {
   /// Number of labels with non-empty lists.
   size_t NumLabels() const;
 
-  IndexCodec codec() const { return codec_; }
-
-  /// Posting-data resident bytes (raw arrays, or the block store's
-  /// payload + directory + word arenas) and total postings — the
-  /// compression bench's numerator and denominator.
+  /// Posting-data resident bytes (list headers plus packed words) and
+  /// total postings.
   size_t MemoryBytes() const;
   size_t NumPostings() const;
-
-  /// The block store when codec() == kBlock, else null (detail stats).
-  const BlockPostingStore* store() const { return store_.get(); }
 
   /// Adjacency join described above, written into the caller-owned `*out`
   /// (cleared first; its capacity is reused, so a scratch list makes
@@ -252,28 +163,10 @@ class InvertedIndex {
                                 const std::vector<char>* alive,
                                 PostingList* out);
 
-  /// The codec-agnostic join. Raw spans run the exact merge above;
-  /// blocked lists run a block cursor that skips blocks whose graph
-  /// bounds miss `current` entirely, prunes the join once the distinct
-  /// upper bound drops below control->min_distinct, and decodes the
-  /// survivors into control->decode_scratch (zero allocations once the
-  /// scratch capacities warm up). `control` may be null for raw spans;
-  /// skip/prune then stay off and this is exactly the overload above.
-  static ExtendStats ExtendInto(const PostingList& current,
-                                const PostingsRef& label_list,
-                                const std::vector<char>* alive,
-                                PostingList* out,
-                                ExtendControl* control = nullptr);
-
   /// Allocating convenience wrapper around ExtendInto for cold paths and
   /// tests.
   static PostingList Extend(const PostingList& current,
                             const PostingList& label_list,
-                            const std::vector<char>* alive);
-
-  /// Ref-taking wrapper (allocates its own decode scratch; cold paths).
-  static PostingList Extend(const PostingList& current,
-                            const PostingsRef& label_list,
                             const std::vector<char>* alive);
 
   /// Number of distinct graphs appearing in a sorted posting list. Hot
@@ -282,9 +175,7 @@ class InvertedIndex {
 
  private:
   static const PostingList kEmpty;
-  std::vector<PostingList> lists_;  // indexed by LabelId (kRaw)
-  std::unique_ptr<BlockPostingStore> store_;  // kBlock
-  IndexCodec codec_ = IndexCodec::kRaw;
+  std::vector<PostingList> lists_;  // indexed by LabelId
 };
 
 }  // namespace ustl

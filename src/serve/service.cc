@@ -18,7 +18,7 @@ namespace {
 /// names and every cell in cluster/record order, with a separator mix
 /// between strings so concatenations cannot collide trivially). A pure
 /// function of the table's bytes: the sampled set is identical across
-/// thread counts, codecs and repeated runs.
+/// thread counts and repeated runs.
 uint64_t HashTableContent(const Table& table) {
   uint64_t hash = 1469598103934665603ull;
   const auto mix = [&hash](const std::string& text) {
@@ -198,14 +198,6 @@ void ConsolidationService::RegisterMetrics() {
   grouping_speculative_searches_ = metrics_.RegisterCounter(
       "ustl_grouping_speculative_searches_total",
       "Wave searches past the serial stop point");
-  index_blocks_skipped_ = metrics_.RegisterCounter(
-      "ustl_index_blocks_skipped_total",
-      "Block-codec posting blocks skipped via metadata");
-  index_blocks_decoded_ = metrics_.RegisterCounter(
-      "ustl_index_blocks_decoded_total", "Block-codec posting blocks decoded");
-  index_joins_pruned_ = metrics_.RegisterCounter(
-      "ustl_index_joins_pruned_total",
-      "Whole posting joins pruned by block metadata");
   admission_wait_us_ = metrics_.RegisterHistogram(
       "ustl_admission_wait_us", "Submit-to-admission wait per request",
       DefaultLatencyBucketsUs());
@@ -737,9 +729,6 @@ void ConsolidationService::RunJobs() {
       grouping_cache_hits_->Increment(grouping.cache_hits);
       grouping_warm_hits_->Increment(grouping.warm_hits);
       grouping_speculative_searches_->Increment(grouping.speculative_searches);
-      index_blocks_skipped_->Increment(grouping.blocks_skipped);
-      index_blocks_decoded_->Increment(grouping.blocks_decoded);
-      index_joins_pruned_->Increment(grouping.joins_pruned);
     }
 
     // Emit before publishing completion: as long as this column is not

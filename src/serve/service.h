@@ -156,7 +156,7 @@ struct ServiceOptions {
   /// Deterministic head sampling for the per-request trace sink: a
   /// request is traced iff FNV-1a(table content) % trace_sample == 0.
   /// Pure function of request content — the sampled set is identical
-  /// across thread counts, codecs and runs, so sampled sweeps stay
+  /// across thread counts and runs, so sampled sweeps stay
   /// byte-identical and replayable. 0 or 1 = trace every request that
   /// supplies a sink. Sampling gates only the request's own sink; the
   /// flight recorder and profiler always see every span.
@@ -540,9 +540,6 @@ class ConsolidationService {
   Counter* grouping_cache_hits_ = nullptr;
   Counter* grouping_warm_hits_ = nullptr;
   Counter* grouping_speculative_searches_ = nullptr;
-  Counter* index_blocks_skipped_ = nullptr;
-  Counter* index_blocks_decoded_ = nullptr;
-  Counter* index_joins_pruned_ = nullptr;
   Histogram* admission_wait_us_ = nullptr;
   Histogram* request_duration_us_ = nullptr;
   Histogram* column_duration_us_ = nullptr;

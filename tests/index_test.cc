@@ -9,9 +9,7 @@
 #include "common/parallel.h"
 #include "graph/graph_builder.h"
 #include "grouping/group.h"
-#include "index/block_postings.h"
 #include "index/inverted_index.h"
-#include "index/posting_codec.h"
 
 namespace ustl {
 namespace {
@@ -395,324 +393,6 @@ TEST(InvertedIndexShardTest, EmptyAndLabelFreeInputs) {
   ThreadPool pool(2);
   EXPECT_EQ(InvertedIndex::Build(graphs, &pool, 8).NumLabels(), 0u);
   EXPECT_EQ(InvertedIndex::Build(graphs, &pool, 8).ListLength(0), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Block-compressed postings: codecs, partitioning, the skip/prune join.
-
-// A sorted unique list whose graph-id gaps are drawn up to `max_gap` —
-// small gaps exercise narrow FOR widths, huge gaps exercise multi-byte
-// varints and the full 32-bit delta range.
-PostingList RandomGapList(std::mt19937_64* rng, size_t n, GraphId max_gap,
-                          int max_node = 9) {
-  PostingList list;
-  uint64_t graph = (*rng)() % 4;
-  for (size_t i = 0; i < n && graph <= Posting::kMaxGraph; ++i) {
-    const int start = static_cast<int>((*rng)() % max_node);
-    const int end =
-        std::min<int>(start + 1 + static_cast<int>((*rng)() % max_node),
-                      Posting::kMaxNode);
-    list.push_back(
-        Posting{static_cast<GraphId>(graph), start, end});
-    // ~1/3 of postings stay in the same graph (multi-posting runs).
-    if ((*rng)() % 3 != 0) graph += 1 + (*rng)() % max_gap;
-  }
-  std::sort(list.begin(), list.end());
-  list.erase(std::unique(list.begin(), list.end()), list.end());
-  return list;
-}
-
-TEST(PostingCodecTest, RoundTripAcrossGapWidthsAndSizes) {
-  std::mt19937_64 rng(20260808);
-  const GraphId gaps[] = {1, 7, 1u << 12, 1u << 22, Posting::kMaxGraph / 2};
-  const size_t sizes[] = {1, 2, 3, 4, 5, 8, 64, 127, 128, 129, 500};
-  for (GraphId gap : gaps) {
-    for (size_t n : sizes) {
-      const PostingList list =
-          RandomGapList(&rng, n, gap, Posting::kMaxNode);
-      ASSERT_FALSE(list.empty());
-      for (PostingCodecId id :
-           {PostingCodecId::kVarint, PostingCodecId::kForPacked}) {
-        SCOPED_TRACE(static_cast<int>(id));
-        const PostingCodec& codec = PostingCodec::Get(id);
-        std::vector<uint8_t> bytes;
-        codec.Encode(list.data(), list.size(), &bytes);
-        // The size oracle is exact (the partitioner plans with it).
-        EXPECT_EQ(bytes.size(), codec.EncodedBytes(list.data(), list.size()));
-        PostingList decoded(list.size());
-        const size_t consumed =
-            codec.Decode(bytes.data(), list[0], list.size(), decoded.data());
-        EXPECT_EQ(consumed, bytes.size());
-        EXPECT_EQ(decoded, list);
-      }
-      // The selection model reports the winner's true size and is total:
-      // re-running it answers the same.
-      size_t chosen_bytes = 0;
-      const PostingCodecId chosen =
-          ChoosePostingCodec(list.data(), list.size(), &chosen_bytes);
-      EXPECT_EQ(chosen_bytes,
-                PostingCodec::Get(chosen).EncodedBytes(list.data(),
-                                                       list.size()));
-      EXPECT_EQ(chosen, ChoosePostingCodec(list.data(), list.size()));
-    }
-  }
-}
-
-// Mirrors InvertedIndex::Postings for a bare store: small lists surface
-// as raw spans, blocked lists carry the store handle.
-PostingsRef StoreRef(const BlockPostingStore& store, LabelId id) {
-  const BlockPostingStore::LabelRef& ref = store.label(id);
-  PostingsRef out;
-  out.count = ref.count;
-  if (ref.num_blocks == 0) {
-    out.data = store.SmallSpan(ref);
-  } else {
-    out.store = &store;
-    out.label = id;
-  }
-  return out;
-}
-
-TEST(BlockPostingStoreTest, MaterializeRoundTripsAndInvariantsHold) {
-  std::mt19937_64 rng(77);
-  for (int round = 0; round < 40; ++round) {
-    std::vector<PostingList> lists;
-    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{5},
-                     size_t{40}, size_t{300}}) {
-      lists.push_back(RandomGapList(&rng, n, 1u << (rng() % 24)));
-      if (n == 0) lists.back().clear();
-    }
-    BlockPostingsOptions options;
-    options.target_block_size = 1 + rng() % 64;
-    options.max_block_size = options.target_block_size * 4;
-    options.small_list_cutoff = rng() % 6;
-    options.greedy_partition = (round % 2) == 0;
-    const std::vector<PostingList> originals = lists;
-    const BlockPostingStore store =
-        BlockPostingStore::Encode(std::move(lists), options);
-
-    size_t total_postings = 0;
-    for (LabelId id = 0; id < originals.size(); ++id) {
-      SCOPED_TRACE(id);
-      PostingList materialized;
-      store.Materialize(id, &materialized);
-      EXPECT_EQ(materialized, originals[id]);
-      total_postings += originals[id].size();
-
-      const BlockPostingStore::LabelRef& ref = store.label(id);
-      EXPECT_EQ(ref.count, originals[id].size());
-      EXPECT_EQ(ref.distinct, InvertedIndex::DistinctGraphs(originals[id]));
-      if (ref.num_blocks == 0) continue;
-      // Blocks are graph-run aligned: each block's first graph strictly
-      // exceeds the previous block's bound, per-block distinct counts sum
-      // to the label total, and suffix bounds telescope.
-      uint32_t distinct_sum = 0;
-      PostingList block_postings;
-      for (size_t b = 0; b < ref.num_blocks; ++b) {
-        const BlockPostingStore::Block& blk = store.block(ref, b);
-        EXPECT_EQ(blk.distinct_prefix, distinct_sum);
-        block_postings.resize(blk.count);
-        store.DecodeBlock(ref, b, block_postings.data());
-        EXPECT_EQ(block_postings[0].bits(), blk.first_bits);
-        EXPECT_LE(block_postings.back().graph(), store.BlockMaxGraph(ref, b));
-        if (b > 0) {
-          EXPECT_GT(block_postings[0].graph(),
-                    store.BlockMaxGraph(ref, b - 1));
-        }
-        distinct_sum += static_cast<uint32_t>(
-            InvertedIndex::DistinctGraphs(block_postings));
-        EXPECT_EQ(store.SuffixDistinct(ref, b), ref.distinct - blk.distinct_prefix);
-      }
-      EXPECT_EQ(distinct_sum, ref.distinct);
-      EXPECT_EQ(store.BlockMaxGraph(ref, ref.num_blocks - 1), ref.last_graph);
-    }
-    const BlockPostingStore::MemoryStats memory = store.memory();
-    EXPECT_EQ(memory.postings, total_postings);
-    EXPECT_EQ(memory.blocks, memory.varint_blocks + memory.for_blocks);
-  }
-}
-
-TEST(BlockPostingStoreTest, CompressesRealisticLists) {
-  // Dense runs with small gaps — the shape pivot search produces — must
-  // compress well below the raw 8 bytes/posting.
-  std::mt19937_64 rng(5);
-  std::vector<PostingList> lists;
-  size_t raw_bytes = 0;
-  for (int i = 0; i < 50; ++i) {
-    lists.push_back(RandomGapList(&rng, 2000, 3));
-    raw_bytes += lists.back().size() * sizeof(Posting);
-  }
-  const BlockPostingStore store =
-      BlockPostingStore::Encode(std::move(lists), BlockPostingsOptions{});
-  const BlockPostingStore::MemoryStats memory = store.memory();
-  EXPECT_LT(memory.total_bytes() * 2, raw_bytes)
-      << "expected >= 2x compression on dense lists";
-}
-
-// The skip/prune join must be byte-identical to the raw join whenever it
-// does not prune, and a prune must only ever discard results the caller's
-// threshold checks would discard anyway.
-TEST(BlockExtendTest, DifferentialAgainstRawJoinWithSkipsAndPrunes) {
-  std::mt19937_64 rng(123);
-  uint64_t prunes_seen = 0;
-  uint64_t skips_seen = 0;
-  for (int round = 0; round < 200; ++round) {
-    // `current` covers a narrow band of graphs so whole blocks of the
-    // label list fall outside it (forcing graph-bound skips).
-    PostingList current = RandomGapList(&rng, 30, 2);
-    std::vector<PostingList> lists;
-    lists.push_back(RandomGapList(&rng, 400, 2));
-    BlockPostingsOptions options;
-    options.target_block_size = 8;  // many blocks => many skip chances
-    options.max_block_size = 32;
-    options.small_list_cutoff = 2;
-    options.greedy_partition = (round % 2) == 0;
-    const PostingList label = lists[0];
-    const BlockPostingStore store =
-        BlockPostingStore::Encode(std::move(lists), options);
-
-    std::vector<char> alive(1u << 12, 1);
-    for (size_t g = 0; g < alive.size(); ++g) alive[g] = (rng() % 5) != 0;
-
-    PostingList raw_out;
-    const ExtendStats raw_stats =
-        InvertedIndex::ExtendInto(current, label, &alive, &raw_out);
-
-    PostingList block_out;
-    PostingList scratch;
-    ExtendControl control;
-    control.decode_scratch = &scratch;
-    control.current_distinct = InvertedIndex::DistinctGraphs(current);
-    control.min_distinct = static_cast<int>(rng() % 8);
-    const ExtendStats block_stats = InvertedIndex::ExtendInto(
-        current, StoreRef(store, 0), &alive, &block_out, &control);
-    skips_seen += control.blocks_skipped;
-
-    if (control.pruned) {
-      // Soundness: the prune fired only because the full result could
-      // not reach min_distinct — the caller would have discarded it.
-      ++prunes_seen;
-      EXPECT_LT(raw_stats.distinct_graphs,
-                static_cast<size_t>(control.min_distinct));
-    } else {
-      // No prune: the block path must reproduce the raw join exactly,
-      // stats included (skipped blocks had nothing to contribute).
-      EXPECT_EQ(block_out, raw_out);
-      EXPECT_EQ(block_stats.distinct_graphs, raw_stats.distinct_graphs);
-      EXPECT_EQ(block_stats.hash, raw_stats.hash);
-    }
-  }
-  // The constructed shapes must actually exercise both mechanisms.
-  EXPECT_GT(prunes_seen, 0u);
-  EXPECT_GT(skips_seen, 0u);
-}
-
-TEST(BlockExtendTest, SkippedBlocksNeverChangeTheResult) {
-  // A label list spanning three widely separated graph bands; `current`
-  // only touches the middle band, so the first and last bands' blocks
-  // are skipped (leading skip + trailing early exit).
-  PostingList label;
-  for (GraphId g = 0; g < 40; ++g) label.push_back(Posting{g, 2, 3});
-  for (GraphId g = 1000; g < 1040; ++g) label.push_back(Posting{g, 2, 3});
-  for (GraphId g = 2000; g < 2040; ++g) label.push_back(Posting{g, 2, 3});
-  PostingList current;
-  for (GraphId g = 1000; g < 1040; ++g) current.push_back(Posting{g, 1, 2});
-
-  std::vector<PostingList> lists = {label};
-  BlockPostingsOptions options;
-  options.target_block_size = 8;
-  const BlockPostingStore store =
-      BlockPostingStore::Encode(std::move(lists), options);
-
-  PostingList raw_out;
-  const ExtendStats raw_stats =
-      InvertedIndex::ExtendInto(current, label, nullptr, &raw_out);
-
-  PostingList block_out;
-  PostingList scratch;
-  ExtendControl control;
-  control.decode_scratch = &scratch;
-  const ExtendStats block_stats = InvertedIndex::ExtendInto(
-      current, StoreRef(store, 0), nullptr, &block_out, &control);
-
-  EXPECT_EQ(block_out, raw_out);
-  EXPECT_EQ(block_out.size(), 40u);
-  EXPECT_EQ(block_stats.distinct_graphs, raw_stats.distinct_graphs);
-  EXPECT_EQ(block_stats.hash, raw_stats.hash);
-  EXPECT_GT(control.blocks_skipped, 0u);
-  EXPECT_FALSE(control.pruned);
-  // Both ends skipped: far fewer blocks decoded than the list holds.
-  EXPECT_LT(control.blocks_decoded,
-            store.label(0).num_blocks - control.blocks_skipped + 1);
-}
-
-TEST(BlockExtendTest, SteadyStateJoinIsAllocationFree) {
-  // After warm-up, repeated joins through the block cursor must reuse the
-  // caller's scratch and output capacity: same storage, no growth.
-  std::mt19937_64 rng(9);
-  std::vector<PostingList> lists = {RandomGapList(&rng, 600, 2)};
-  const PostingList label = lists[0];
-  BlockPostingsOptions options;
-  options.target_block_size = 16;
-  const BlockPostingStore store =
-      BlockPostingStore::Encode(std::move(lists), options);
-  PostingList current = RandomGapList(&rng, 50, 2);
-
-  PostingList out;
-  PostingList scratch;
-  ExtendControl control;
-  control.decode_scratch = &scratch;
-  InvertedIndex::ExtendInto(current, StoreRef(store, 0), nullptr, &out,
-                            &control);
-  const Posting* out_data = out.data();
-  const Posting* scratch_data = scratch.data();
-  const size_t out_capacity = out.capacity();
-  const size_t scratch_capacity = scratch.capacity();
-  for (int i = 0; i < 10; ++i) {
-    ExtendControl repeat;
-    repeat.decode_scratch = &scratch;
-    InvertedIndex::ExtendInto(current, StoreRef(store, 0), nullptr, &out,
-                              &repeat);
-    EXPECT_EQ(out.data(), out_data);
-    EXPECT_EQ(scratch.data(), scratch_data);
-    EXPECT_EQ(out.capacity(), out_capacity);
-    EXPECT_EQ(scratch.capacity(), scratch_capacity);
-  }
-}
-
-TEST(BlockIndexTest, BuildMatchesRawIndexOnRealGraphs) {
-  LabelInterner interner;
-  std::vector<TransformationGraph> graphs = RealisticGraphs(&interner);
-  const InvertedIndex raw = InvertedIndex::Build(graphs);
-  IndexBuildOptions build;
-  build.codec = IndexCodec::kBlock;
-  build.block.target_block_size = 4;  // force real blocks on small lists
-  build.block.small_list_cutoff = 1;
-  const InvertedIndex block =
-      InvertedIndex::Build(graphs, nullptr, 0, 0, build);
-
-  ASSERT_EQ(block.codec(), IndexCodec::kBlock);
-  EXPECT_EQ(block.NumLabels(), raw.NumLabels());
-  EXPECT_EQ(block.NumPostings(), raw.NumPostings());
-  PostingList expect, got;
-  for (LabelId label = 0; label < interner.size() + 4; ++label) {
-    raw.Materialize(label, &expect);
-    block.Materialize(label, &got);
-    ASSERT_EQ(got, expect) << "label " << label;
-    EXPECT_EQ(block.ListLength(label), raw.ListLength(label));
-    // The ref agrees with the directory on both codecs.
-    EXPECT_EQ(block.Postings(label).size(), raw.Postings(label).size());
-  }
-  // The sharded parallel build re-encodes to the identical store: the
-  // encoder is a pure function of the (bit-identical) raw lists.
-  ThreadPool pool(4);
-  const InvertedIndex sharded =
-      InvertedIndex::Build(graphs, &pool, 16, 0, build);
-  for (LabelId label = 0; label < interner.size() + 4; ++label) {
-    block.Materialize(label, &expect);
-    sharded.Materialize(label, &got);
-    ASSERT_EQ(got, expect) << "label " << label;
-  }
 }
 
 }  // namespace

@@ -42,7 +42,6 @@ struct Args {
   std::string approve = "interactive";
   std::string oracle_cache = "on";
   std::string search_cache = "on";
-  std::string index_codec = "raw";
   size_t budget = 100;
   int threads = 1;
   bool column_parallel = false;
@@ -62,7 +61,6 @@ void Usage() {
       "                        [--column-parallel]\n"
       "                        [--oracle-cache on|off (default: on)]\n"
       "                        [--search-cache on|off (default: on)]\n"
-      "                        [--index-codec raw|block (default: raw)]\n"
       "\n"
       "--threads parallelizes grouping (graph construction, structure-"
       "group\npreprocessing, and the pivot searches within one structure "
@@ -78,9 +76,6 @@ void Usage() {
       "grouping\nrounds and warm-starts identical-content columns from "
       "each other;\ngroups are byte-identical either way, off only "
       "repeats searches.\n"
-      "--index-codec block stores each structure group's posting lists "
-      "as\ndelta-compressed, skippable blocks (less memory, prunable "
-      "joins);\noutput is byte-identical to raw.\n"
       "--replay applies a previously saved transformation log (--log "
       "output)\ninstead of running verification; no questions are "
       "asked.\n");
@@ -176,8 +171,6 @@ int main(int argc, char** argv) {
       args.oracle_cache = next("--oracle-cache");
     } else if (std::strcmp(argv[i], "--search-cache") == 0) {
       args.search_cache = next("--search-cache");
-    } else if (std::strcmp(argv[i], "--index-codec") == 0) {
-      args.index_codec = next("--index-codec");
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       Usage();
@@ -187,8 +180,7 @@ int main(int argc, char** argv) {
   if (args.input.empty() || args.output.empty() ||
       (args.approve != "all" && args.approve != "interactive") ||
       (args.oracle_cache != "on" && args.oracle_cache != "off") ||
-      (args.search_cache != "on" && args.search_cache != "off") ||
-      (args.index_codec != "raw" && args.index_codec != "block")) {
+      (args.search_cache != "on" && args.search_cache != "off")) {
     Usage();
     return 2;
   }
@@ -215,9 +207,6 @@ int main(int argc, char** argv) {
   options.skip_singletons = args.approve == "interactive";
   options.grouping.num_threads = args.threads;
   options.grouping.reuse_search_results = args.search_cache == "on";
-  options.grouping.index_codec = args.index_codec == "block"
-                                     ? IndexCodec::kBlock
-                                     : IndexCodec::kRaw;
 
   ApproveAllOracle approve_all;
   InteractiveOracle interactive;

@@ -94,7 +94,6 @@ struct Args {
   size_t max_cache_entries = 0;
   std::string oracle_cache = "on";
   std::string search_cache = "on";
-  std::string index_codec = "raw";
   bool events = false;
   int64_t deadline_ms = 0;    // per-request deadline; 0 = none
   std::string fault_plan;     // FaultPlan spec; empty = no injection
@@ -168,7 +167,6 @@ void Usage() {
       "                  [--oracle-cache on|off (default: on)]\n"
       "                  [--search-cache on|off (default: on)]\n"
       "                  [--max-cache-entries N (default: 0 = unbounded)]\n"
-      "                  [--index-codec raw|block (default: raw)]\n"
       "                  [--events]\n"
       "                  [--deadline-ms N (default: 0 = no deadline)]\n"
       "                  [--fault-plan SPEC (e.g. rate=0.5,fails=2,seed=7;\n"
@@ -450,8 +448,6 @@ int main(int argc, char** argv) {
       args.oracle_cache = next("--oracle-cache");
     } else if (std::strcmp(argv[i], "--search-cache") == 0) {
       args.search_cache = next("--search-cache");
-    } else if (std::strcmp(argv[i], "--index-codec") == 0) {
-      args.index_codec = next("--index-codec");
     } else if (std::strcmp(argv[i], "--events") == 0) {
       args.events = true;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
@@ -490,8 +486,7 @@ int main(int argc, char** argv) {
   }
   if (args.manifest.empty() || args.repeat == 0 ||
       (args.oracle_cache != "on" && args.oracle_cache != "off") ||
-      (args.search_cache != "on" && args.search_cache != "off") ||
-      (args.index_codec != "raw" && args.index_codec != "block")) {
+      (args.search_cache != "on" && args.search_cache != "off")) {
     Usage();
     return 2;
   }
@@ -537,8 +532,6 @@ int main(int argc, char** argv) {
   service_options.framework.budget_per_column = args.budget;
   service_options.framework.grouping.reuse_search_results =
       args.search_cache == "on";
-  service_options.framework.grouping.index_codec =
-      args.index_codec == "block" ? IndexCodec::kBlock : IndexCodec::kRaw;
   // Diagnosis layer: the profiler folds every request's spans when
   // --profile-out asks for it; head sampling thins only the user trace
   // stream; the flight recorder (always on) dumps through the sink
