@@ -425,6 +425,7 @@ IncrementalStats GroupingEngine::stats() const {
     if (sub.engine == nullptr) continue;
     const IncrementalStats& stats = sub.engine->stats();
     out.expansions += stats.expansions;
+    out.joins += stats.joins;
     out.searches += stats.searches;
     out.cache_hits += stats.cache_hits;
     out.speculative_searches += stats.speculative_searches;

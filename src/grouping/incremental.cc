@@ -156,6 +156,7 @@ bool IncrementalEngine::CacheLookup(GraphId g,
   out->members = entry->members;
   out->count = entry->count;
   out->expansions = 0;
+  out->joins = 0;
   out->truncated = false;
   if (warm != nullptr) *warm = entry->warm;
   if (speculative != nullptr) *speculative = entry->speculative;
@@ -208,6 +209,7 @@ void IncrementalEngine::SerialScan(const std::vector<GraphId>& order,
     if (sampling) sample_mask_[g] = restore_mask;
     ++stats_.searches;
     stats_.expansions += result.expansions;
+    stats_.joins += result.joins;
     stats_.truncated |= result.truncated;
     if (result.found) {
       // Under sampling these bounds are in sample units (under-estimates
@@ -292,6 +294,7 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
     } else {
       ++stats_.searches;
       stats_.expansions += slot->result.expansions;
+      stats_.joins += slot->result.joins;
       // Merge the private Glo raises back (entries only ever rise, so
       // an element-wise max reproduces the in-place writes).
       if (!slot->bounds.empty()) {
@@ -394,6 +397,12 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
       });
     }
 
+    uint64_t wave_joins = 0;
+    for (const Slot& slot : slots) {
+      if (!slot.cached) wave_joins += slot.result.joins;
+    }
+    wave_span.AddAttr("joins", static_cast<int64_t>(wave_joins));
+
     // Replay the wave in scan order.
     size_t applied = slots.size();
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -413,6 +422,7 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
         ++stats_.searches;
         ++stats_.speculative_searches;
         stats_.expansions += slot.result.expansions;
+        stats_.joins += slot.result.joins;
         if (reuse && slot.result.found) {
           CacheStore(slot.g, slot.result, /*speculative=*/true);
         }

@@ -127,6 +127,9 @@ struct IncrementalOptions {
 
 struct IncrementalStats {
   uint64_t expansions = 0;
+  /// Posting-list joins the searches ran (PivotSearcher::SearchResult::
+  /// joins), speculative searches included, like expansions.
+  uint64_t joins = 0;
   uint64_t searches = 0;
   /// Searches avoided by cross-round result reuse: rounds that resolved a
   /// graph from a still-valid cached pivot instead of running its DFS.

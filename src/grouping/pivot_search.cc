@@ -1,6 +1,8 @@
 #include "grouping/pivot_search.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 namespace ustl {
 namespace {
@@ -14,20 +16,40 @@ struct Move {
   int to;
 };
 
+// The canonical move order (see the header). Long lists go first: they
+// raise best_count early, which makes the early terminations bite. Ties
+// between equally long lists break toward non-constant labels: for
+// singleton structure groups every path has count 1 and the first-found
+// path wins, so this bias is what keeps their pivots from degenerating
+// into pure "emit this literal" programs (which the framework rightly
+// filters out).
+bool MoveBefore(const Move& a, const Move& b) {
+  if (a.list_length != b.list_length) return a.list_length > b.list_length;
+  if (a.constant != b.constant) return !a.constant;
+  return a.label < b.label;
+}
+
+bool IsConstant(const GraphSet& set, LabelId label) {
+  return set.interner()->Get(label).kind() == StringFn::Kind::kConstantStr;
+}
+
 }  // namespace
 
-/// Scratch arena of the DFS. Level d owns every buffer Dfs needs at path
+/// Scratch arena of the DFS. Level d owns the buffers Dfs needs at path
 /// length d: the extension list the join writes into (and the d+1
-/// recursion reads), the gathered moves, and the sibling-dedup store.
-/// Levels are allocated once per Search (max_path_len + 1 of them) and
-/// reused across all DFS moves at that depth, so after the first visit of
-/// each depth the inner loop performs no heap allocation — extensions
-/// overwrite the level's list in place, and dedup entries assign into
-/// retained capacity.
+/// recursion reads) and the sibling-dedup store. Levels are allocated once
+/// per Search (max_path_len + 1 of them) and reused across all DFS moves
+/// at that depth, so after the first visit of each depth the inner loop
+/// performs no heap allocation — extensions overwrite the level's list in
+/// place, and dedup entries assign into retained capacity.
+///
+/// A node's moves depend only on the node (the searched graph is fixed
+/// per Search and list lengths per index), never on the path that reached
+/// it, so each node's move list is built on its first visit and appended
+/// to `moves`; node_moves[node] is its [begin, end) range there.
 struct PivotSearcher::DfsState {
   struct Level {
     PostingList extended;     // ExtendInto target for this depth
-    std::vector<Move> moves;  // outgoing moves of the current node
     // Sibling-dedup store for the current node: target node + content
     // hash as the cheap key, materialized list for the collision-proof
     // compare. seen_size is the logical length; entries past it are
@@ -40,6 +62,7 @@ struct PivotSearcher::DfsState {
   struct PostingScratch {
     std::vector<Level> levels;  // indexed by depth; sized once in Search
   };
+  static constexpr size_t kUnbuilt = std::numeric_limits<size_t>::max();
 
   LabelPath current;
   LabelPath best_path;
@@ -47,9 +70,58 @@ struct PivotSearcher::DfsState {
   std::vector<GraphId> leaf_members;  // CompleteMembers buffer, reused
   int best_count = 0;  // starts at the acceptance threshold
   uint64_t expansions = 0;
+  uint64_t joins = 0;
   bool truncated = false;
   PostingScratch scratch;
+  std::vector<Move> moves;
+  std::vector<std::pair<size_t, size_t>> node_moves;  // indexed by node
 };
+
+PivotSearcher::PivotSearcher(const GraphSet* set, Options options)
+    : set_(set), options_(options), explore_(set->interner()->size(), 0) {
+  // Identical lists hash equal, so hashing (with the ExtendInto content
+  // hash) and sorting groups every class of identical lists into one run.
+  // Within a run, labels are sorted in move order — all share one list
+  // length, so that is constant-ness then id — and each label is compared
+  // by content against the run's representatives so far: a match is the
+  // later twin of an explored label, a miss (a hash collision) starts a
+  // new class.
+  struct Entry {
+    uint64_t hash;
+    bool constant;
+    LabelId label;
+  };
+  const InvertedIndex& index = set_->index();
+  std::vector<Entry> entries;
+  entries.reserve(explore_.size());
+  for (LabelId label = 0; label < explore_.size(); ++label) {
+    uint64_t hash = kPostingHashSeed;
+    for (const Posting& p : index.Find(label)) {
+      hash ^= p.bits();
+      hash *= kPostingHashPrime;
+    }
+    entries.push_back(Entry{hash, IsConstant(*set_, label), label});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) {
+              if (a.hash != b.hash) return a.hash < b.hash;
+              if (a.constant != b.constant) return !a.constant;
+              return a.label < b.label;
+            });
+  std::vector<LabelId> representatives;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i == 0 || entries[i].hash != entries[i - 1].hash) {
+      representatives.clear();
+    }
+    const PostingList& list = index.Find(entries[i].label);
+    const bool twin = std::any_of(
+        representatives.begin(), representatives.end(),
+        [&](LabelId rep) { return index.Find(rep) == list; });
+    if (twin) continue;
+    representatives.push_back(entries[i].label);
+    explore_[entries[i].label] = 1;
+  }
+}
 
 namespace {
 
@@ -101,42 +173,40 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
     return;
   }
 
-  // Every buffer below lives in this depth's scratch level; the recursion
-  // only touches deeper levels, so the references stay valid across it.
+  // The dedup store lives in this depth's scratch level; the recursion
+  // only touches deeper levels, so the reference stays valid across it.
   DfsState::Level& level = state->scratch.levels[depth];
 
-  // Gather outgoing (label, edge, |I[label]|) moves. A label can sit on at
-  // most one outgoing edge of a node (labels determine their output string,
-  // and sibling edges have different target substrings). Moves are visited
-  // in descending posting-list length (ties by ascending LabelId): big
-  // lists raise best_count early, which makes the early terminations bite.
-  // The order is a global total order on labels (list lengths are shared
-  // run-wide), so the first-found maximum is still canonical across all
-  // grouping variants.
-  std::vector<Move>& moves = level.moves;
-  moves.clear();
-  for (const GraphEdge& edge : graph.edges_from(node)) {
-    for (LabelId label : edge.labels) {
-      const bool constant =
-          set_->interner() != nullptr &&
-          set_->interner()->Get(label).kind() ==
-              StringFn::Kind::kConstantStr;
-      moves.push_back(
-          Move{set_->index().ListLength(label), constant, label, edge.to});
+  // Build this node's moves on its first visit: gather every outgoing
+  // (label, edge, |I[label]|) move, sort the full list into the canonical
+  // move order, then drop the labels that are not their class's explored
+  // representative. One label can sit on several outgoing edges of a node
+  // (a journaltitle graph has the same label on 2->4 and 2->12); those
+  // moves tie, and std::sort orders them by its input. So the drop must
+  // follow the sort: dropping first changes that input, the tie order and
+  // the first-found pivots. After the sort, each dropped move's twin on
+  // the same edge comes earlier (same length, representative first), and
+  // its join produces the same list: a sibling duplicate when the twin
+  // was explored, or pruned like the twin since best_count and Glo only
+  // rise.
+  std::pair<size_t, size_t>& range = state->node_moves[node];
+  if (range.first == DfsState::kUnbuilt) {
+    std::vector<Move>& moves = state->moves;
+    const size_t begin = moves.size();
+    for (const GraphEdge& edge : graph.edges_from(node)) {
+      for (LabelId label : edge.labels) {
+        moves.push_back(Move{set_->index().ListLength(label),
+                             IsConstant(*set_, label), label, edge.to});
+      }
     }
+    std::sort(moves.begin() + begin, moves.end(), MoveBefore);
+    moves.erase(std::remove_if(moves.begin() + begin, moves.end(),
+                               [this](const Move& move) {
+                                 return explore_[move.label] == 0;
+                               }),
+                moves.end());
+    range = {begin, moves.size()};
   }
-  // Ties between equally long lists break toward non-constant labels:
-  // for singleton structure groups every path has count 1 and the
-  // first-found path wins, so this bias is what keeps their pivots from
-  // degenerating into pure "emit this literal" programs (which the
-  // framework rightly filters out). The key is still a run-wide total
-  // order on labels, so the canonical choice stays consistent across all
-  // grouping variants.
-  std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-    if (a.list_length != b.list_length) return a.list_length > b.list_length;
-    if (a.constant != b.constant) return !a.constant;
-    return a.label < b.label;
-  });
 
   // Sibling deduplication: labels on the same edge frequently extend to
   // identical posting lists (all P[x] x P[y] SubStr variants of one
@@ -148,7 +218,10 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
   // re-hashed here.
   level.seen_size = 0;
 
-  for (const Move& move : moves) {
+  const auto [moves_begin, moves_end] = range;
+  for (size_t i = moves_begin; i < moves_end; ++i) {
+    // A copy: the recursion appends deeper nodes' moves to state->moves.
+    const Move move = state->moves[i];
     // Cheap pre-check before the join: the extension's distinct-graph
     // count is at most min(|list| distinct, |I[label]|) — intersections
     // never grow (Section 5.2).
@@ -161,6 +234,7 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
         static_cast<int>(upper) < (*lower_bounds)[g]) {
       continue;
     }
+    ++state->joins;
     const ExtendStats stats =
         InvertedIndex::ExtendInto(list, set_->index().Find(move.label),
                                   &set_->alive_vector(), &level.extended);
@@ -212,6 +286,9 @@ PivotSearcher::SearchResult PivotSearcher::Search(
   // are referenced across recursive calls).
   state.scratch.levels.resize(
       static_cast<size_t>(std::max(options_.max_path_len, 0)) + 1);
+  state.node_moves.assign(
+      static_cast<size_t>(set_->graph(g).num_nodes()) + 1,
+      {DfsState::kUnbuilt, DfsState::kUnbuilt});
   const uint64_t max_expansions =
       std::min(options_.max_expansions, expansion_budget);
 
@@ -236,6 +313,7 @@ PivotSearcher::SearchResult PivotSearcher::Search(
 
   SearchResult result;
   result.expansions = state.expansions;
+  result.joins = state.joins;
   result.truncated = state.truncated;
   if (!state.best_path.empty()) {
     result.found = true;

@@ -1,11 +1,21 @@
 // SearchPivot (Algorithm 3) with the local and global threshold-based
 // early terminations of Algorithm 4. The DFS maintains the current path
 // rho, the posting list of spans where rho matches, and the node reached
-// in the searched graph; outgoing (label, edge) pairs are visited in
-// ascending LabelId order, so paths are enumerated lexicographically and
-// the first-found maximum is the lexicographically smallest pivot path —
-// this canonical choice makes all grouping variants agree under count
-// ties (see DESIGN.md).
+// in the searched graph. A node's outgoing (label, edge) moves are visited
+// in descending inverted-list length, then non-constant labels before
+// constant ones, then ascending LabelId. List lengths and label kinds are
+// fixed for the lifetime of the index, so this is one run-wide order and
+// the first-found maximum is the same canonical pivot for every grouping
+// variant (one-shot, incremental, wave scan, any thread count).
+//
+// Labels whose inverted lists are identical extend every path to
+// identical lists, so the DFS explores only the first label of each such
+// class in move order; the others would only ever produce sibling
+// duplicates or be pruned exactly like their twin. Twins are dropped only
+// after a node's full move list is sorted: one label can sit on two
+// outgoing edges of a node, those two moves tie, and std::sort orders
+// ties by its input, so dropping first would change which tied move is
+// searched first — and with it the first-found pivot.
 #ifndef USTL_GROUPING_PIVOT_SEARCH_H_
 #define USTL_GROUPING_PIVOT_SEARCH_H_
 
@@ -42,11 +52,14 @@ class PivotSearcher {
                                     // transformation path (complete spans)
     int count = 0;                  // members.size()
     uint64_t expansions = 0;        // DFS nodes visited (for Figure 9)
+    uint64_t joins = 0;             // posting-list joins (ExtendInto calls)
     bool truncated = false;         // hit max_expansions
   };
 
-  PivotSearcher(const GraphSet* set, Options options)
-      : set_(set), options_(options) {}
+  /// Flags, once per searcher, the one label per class of identical
+  /// inverted lists that the DFS explores. `set`'s index is immutable, so
+  /// concurrent Search calls share the table read-only.
+  PivotSearcher(const GraphSet* set, Options options);
 
   /// Finds the pivot path of graph `g`: the transformation path of `g`
   /// shared by the largest number of alive graphs, provided that number is
@@ -83,6 +96,9 @@ class PivotSearcher {
 
   const GraphSet* set_;
   Options options_;
+  /// Indexed by LabelId: nonzero for the label the move order reaches
+  /// first among all labels with an identical inverted list.
+  std::vector<char> explore_;
 };
 
 }  // namespace ustl

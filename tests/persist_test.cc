@@ -69,7 +69,7 @@ std::vector<std::string> FuzzishPayloads() {
   payloads.push_back("");
   payloads.push_back(std::string(1, '\0'));
   payloads.push_back("plain ascii record");
-  payloads.push_back(std::string("\x00\xFF\x7F\x80 embedded", 17));
+  payloads.push_back(std::string("\x00\xFF\x7F\x80 embedded", 13));
   payloads.push_back(std::string(300, 'x'));
   std::string binary;
   for (int i = 0; i < 256; ++i) binary.push_back(static_cast<char>(i));

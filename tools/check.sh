@@ -16,16 +16,17 @@
 #   drain          SIGTERM graceful drain
 #   bench          perf-regression gate over the BENCH_* trajectory
 #   tsan           parallel subsystems under ThreadSanitizer
+#   asan           every test under AddressSanitizer + UBSan
 #   debug          Debug build + ctest (USTL_DCHECK scans enabled)
 #
-# Every leg but tsan and debug runs the binaries in build/, configuring
+# Every leg but tsan, asan and debug runs the binaries in build/, configuring
 # and building it first (default Release: -O2, NDEBUG). The bench leg
 # only means something on that Release build.
 set -eu
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 LEGS="tier1 columns wave serve faults observability profiling persist"
-LEGS="$LEGS drain bench tsan debug"
+LEGS="$LEGS drain bench tsan asan debug"
 
 BUILT=0
 build() {
@@ -292,6 +293,14 @@ leg_tsan() {
     pipeline_test serve_test robustness_test obs_test persist_test
   (cd build-tsan && ctest --output-on-failure \
     -R "parallel_test|grouping_test|pipeline_test|serve_test|robustness_test|obs_test|persist_test")
+}
+
+# Every test binary with memory errors, UB and libstdc++ assertion
+# failures fatal (-DUSTL_ASAN=ON also builds GoogleTest from source).
+leg_asan() {
+  cmake -B build-asan -S . -DUSTL_ASAN=ON
+  cmake --build build-asan -j"$JOBS"
+  (cd build-asan && ctest --output-on-failure -j"$JOBS")
 }
 
 # NDEBUG unset (-O2 still applied via the global flags): the only
