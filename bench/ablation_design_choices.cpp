@@ -1,6 +1,6 @@
-// Ablations for the design choices DESIGN.md calls out: structure
-// refinement (Section 7.2), the Appendix-E term scorer, the maximum path
-// length theta (Section 8.2), and token-aligned labels. Reports grouping
+// Ablations for the grouping design choices: structure refinement
+// (Section 7.2), the Appendix-E term scorer, the maximum path length
+// theta (Section 8.2), and token-aligned labels. Reports grouping
 // cost and group counts on the Address analog.
 #include <cstdio>
 

@@ -67,8 +67,11 @@ int main() {
     if (!trace.approved) continue;
     Result<Program> program = ParseProgram(trace.program);
     if (!program.ok()) continue;
-    approved.push_back(ApprovedTransformation{
-        "address", std::move(program).value(), trace.direction});
+    ApprovedTransformation transformation;
+    transformation.column = "address";
+    transformation.program = std::move(program).value();
+    transformation.direction = trace.direction;
+    approved.push_back(std::move(transformation));
   }
   std::string log = SerializeTransformationLog(approved);
   printf("\n== transformation log (%zu entries) ==\n%s",

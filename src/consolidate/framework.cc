@@ -153,8 +153,25 @@ ColumnRunResult StandardizeColumnSingle(Column* column,
   return result;
 }
 
-// GoldenRecordCreation is defined in pipeline/pipeline.cc: it routes
-// through the column scheduler, and the pipeline layer sits above this
-// one — defining it there keeps the dependency one-directional.
+GoldenRecordRun GoldenRecordCreation(Table* table, VerificationOracle* oracle,
+                                     const FrameworkOptions& options) {
+  // Each column is standardized as a working copy; the table changes only
+  // once every column succeeded, so a cancelled or failed run leaves it
+  // exactly as passed in.
+  GoldenRecordRun run;
+  std::vector<Column> columns;
+  FrameworkOptions column_options = options;
+  for (size_t col = 0; col < table->num_columns(); ++col) {
+    column_options.column_name = table->column_names()[col];
+    columns.push_back(table->ExtractColumn(col));
+    run.per_column.push_back(
+        StandardizeColumn(&columns.back(), oracle, column_options));
+  }
+  for (size_t col = 0; col < columns.size(); ++col) {
+    table->StoreColumn(col, columns[col]);
+  }
+  run.golden_records = MajorityConsensus(*table);
+  return run;
+}
 
 }  // namespace ustl

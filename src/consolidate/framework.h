@@ -126,12 +126,12 @@ ColumnRunResult StandardizeColumnSingle(Column* column,
                                         VerificationOracle* oracle,
                                         const FrameworkOptions& options);
 
-/// Full Algorithm 1: standardize every column of the table with the same
-/// oracle/budget, then return MC golden records. Delegates to the serving
-/// layer (via the pipeline's one-shot facade) in its serial, cache-off
-/// configuration — defined in pipeline/pipeline.cc, which this header
-/// must not include — so this entry point behaves exactly like the
-/// historical per-column loop; use RunConsolidationPipeline
+/// Full Algorithm 1: standardize every column of the table in index order
+/// with the same oracle/budget (each column's `column_name` set from the
+/// table), then return MC golden records. The oracle is asked directly,
+/// one question at a time; the table is written only after every column
+/// succeeded, so a CancelledError (from `options.cancel`) or an oracle
+/// failure leaves it as passed in. Use RunConsolidationPipeline
 /// (pipeline/pipeline.h) for column parallelism, verdict caching and
 /// broker statistics, or serve/service.h's ConsolidationService for
 /// long-lived multi-table serving with caches warm across requests.

@@ -1,9 +1,10 @@
 // Synthetic generators for the paper's three datasets (Section 8). Each
 // generator produces clustered values exhibiting the same transformation
-// families as the original data, plus exact ground truth (DESIGN.md
-// documents the substitution). All generators are deterministic in the
-// seed. The `scale` field multiplies the cluster count, so benches can run
-// anywhere from smoke-test to paper-size workloads.
+// families as the original data, plus exact ground truth; they stand in
+// for the paper's original datasets, which this repository does not
+// ship. All generators are deterministic in the seed. The `scale` field multiplies
+// the cluster count, so benches can run anywhere from smoke-test to
+// paper-size workloads.
 #ifndef USTL_DATAGEN_GENERATORS_H_
 #define USTL_DATAGEN_GENERATORS_H_
 

@@ -259,7 +259,9 @@ void GroupingEngine::Preprocess(SubGroup* sub) {
   inc_options.sample_size = options_.pivot_sample_size;
   inc_options.sample_seed = options_.pivot_sample_seed;
   inc_options.reuse_search_results = options_.reuse_search_results;
-  inc_options.adaptive_wave_sizing = options_.adaptive_wave_sizing;
+  // Finite iff the shared budget is; RefineBatch re-issues the remainder
+  // before every scan.
+  inc_options.max_total_expansions = options_.max_total_expansions;
   inc_options.cancel = options_.cancel;
   inc_options.trace = options_.trace;
   inc_options.trace_parent = options_.trace_parent;
@@ -273,22 +275,9 @@ void GroupingEngine::Preprocess(SubGroup* sub) {
     inc_options.shared_cache = options_.shared_search_cache;
     inc_options.shared_cache_key = hasher.Finish();
   }
-  // The expansion budget is shared across structure groups: hand each
-  // newly preprocessed engine whatever is left.
-  if (options_.max_total_expansions !=
-      std::numeric_limits<uint64_t>::max()) {
-    uint64_t spent = 0;
-    for (const SubGroup& other : subs_) {
-      if (other.engine != nullptr) spent += other.engine->stats().expansions;
-    }
-    inc_options.max_total_expansions =
-        options_.max_total_expansions > spent
-            ? options_.max_total_expansions - spent
-            : 0;
-  }
-  // The engine borrows the pool for its exact-mode wave scan; when its
-  // Peek runs on a pool worker (RefineBatch fanning several sub-groups
-  // out) the waves degrade to the serial scan instead of nesting.
+  // The engine borrows the pool for its exact-mode waves; when its Peek
+  // runs on a pool worker (RefineBatch fanning several sub-groups out)
+  // the waves narrow to one search instead of nesting.
   sub->engine = std::make_unique<IncrementalEngine>(std::move(set).value(),
                                                     inc_options, pool_.get());
 }
@@ -300,6 +289,15 @@ void GroupingEngine::RefineBatch(const std::vector<SubGroup*>& candidates) {
   ParallelFor(pool_.get(), candidates.size(), [&](size_t i) {
     SubGroup* sub = candidates[i];
     Preprocess(sub);
+    if (options_.max_total_expansions != kNoLimit) {
+      // The budget is shared across structure groups and budgeted runs
+      // refine one sub-group at a time, so the other engines' spend is
+      // settled: hand this one exactly what is left.
+      const uint64_t spent = stats().expansions;
+      sub->engine->LimitExpansions(options_.max_total_expansions > spent
+                                       ? options_.max_total_expansions - spent
+                                       : 0);
+    }
     sub->engine->Peek();
   });
   for (SubGroup* sub : candidates) {
@@ -384,12 +382,11 @@ std::optional<Group> GroupingEngine::Next() {
                        [this](SubGroup* a, SubGroup* b) {
                          return SubHint(*a) > SubHint(*b);
                        });
-      // A finite shared expansion budget makes preprocessing
-      // order-dependent (each engine receives what the previous ones
-      // left), so budgeted runs refine strictly one at a time, whatever
-      // the thread count.
-      const bool budgeted = options_.max_total_expansions !=
-                            std::numeric_limits<uint64_t>::max();
+      // A finite shared expansion budget makes every scan
+      // order-dependent (each one receives what the previous ones left),
+      // so budgeted runs refine strictly one at a time, whatever the
+      // thread count.
+      const bool budgeted = options_.max_total_expansions != kNoLimit;
       size_t wave = budgeted || pool_ == nullptr
                         ? 1
                         : static_cast<size_t>(pool_->num_threads());
@@ -429,7 +426,6 @@ IncrementalStats GroupingEngine::stats() const {
     out.searches += stats.searches;
     out.cache_hits += stats.cache_hits;
     out.speculative_searches += stats.speculative_searches;
-    out.speculative_hits += stats.speculative_hits;
     out.warm_hits += stats.warm_hits;
     out.truncated |= stats.truncated;
   }

@@ -41,7 +41,9 @@ struct GroupingOptions {
   /// without structure refinement, whose label space explodes.
   uint64_t max_expansions_per_search = std::numeric_limits<uint64_t>::max();
   /// Total DFS expansion budget across the whole engine (all structure
-  /// groups). See IncrementalOptions::max_total_expansions.
+  /// groups): before each structure group's scan, its engine is handed
+  /// whatever the groups together have not yet spent. See
+  /// IncrementalOptions::max_total_expansions.
   uint64_t max_total_expansions = std::numeric_limits<uint64_t>::max();
   /// Appendix-E sampling: pivot counts taken over a sample of this many
   /// graphs per structure group when the group is larger. 0 = exact.
@@ -55,15 +57,6 @@ struct GroupingOptions {
   /// Groups are byte-identical with this on or off; off only repeats
   /// searches. Ignored under sampling or finite expansion budgets.
   bool reuse_search_results = true;
-  /// Adaptive wave sizing for the incremental engines' exact-mode wave
-  /// scan: wave widths are sized from the observed speculation hit rate
-  /// instead of the raw pool width, so a box whose hardware cannot run
-  /// the wave concurrently stops paying for speculation that never pays
-  /// off. Groups are byte-identical either way (statistics move). See
-  /// IncrementalOptions::adaptive_wave_sizing. The upfront driver is
-  /// unaffected: it searches every graph exactly once, so none of its
-  /// wave work is speculative.
-  bool adaptive_wave_sizing = true;
   /// Cross-engine pivot-search warm start (grouping/search_cache.h):
   /// borrowed shared cache, must outlive every engine using it, may be
   /// shared across threads. When set (and reuse_search_results applies),
@@ -90,7 +83,7 @@ struct GroupingOptions {
   /// speculation spend expansions the lazy serial order avoids, and how
   /// many depends on scheduling. When max_total_expansions is finite the
   /// engine stays lazy and serial regardless of this knob — a shared
-  /// budget makes preprocessing order-dependent.
+  /// budget makes every scan order-dependent.
   int num_threads = 1;
   /// Cooperative cancellation (common/cancel.h), forwarded into every
   /// structure-group engine's scan loops and checked between refinement
@@ -155,7 +148,8 @@ class GroupingEngine {
 
   void Preprocess(SubGroup* sub);
   /// Preprocesses + peeks every candidate concurrently (they are disjoint;
-  /// no budget sharing happens when the total budget is unlimited).
+  /// budgeted runs pass one candidate at a time, so each scan starts from
+  /// the shared budget's current remainder).
   void RefineBatch(const std::vector<SubGroup*>& candidates);
   int SubHint(const SubGroup& sub) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "common/random.h"
@@ -21,10 +20,6 @@ PivotSearcher::Options SearcherOptions(const IncrementalOptions& options) {
 }
 
 constexpr uint64_t kUnlimited = std::numeric_limits<uint64_t>::max();
-
-// Speculative searches observed before the adaptive wave sizer trusts the
-// measured hit rate; below this it stays at the optimistic pool width.
-constexpr uint64_t kAdaptiveWaveMinSamples = 16;
 
 bool ExactModeConfigured(const IncrementalOptions& options) {
   return options.sample_size == 0 &&
@@ -135,7 +130,7 @@ void IncrementalEngine::InitUpperBounds() {
 
 bool IncrementalEngine::CacheLookup(GraphId g,
                                     PivotSearcher::SearchResult* out,
-                                    bool* warm, bool* speculative) {
+                                    bool* warm) {
   std::optional<CachedSearch>& entry = search_cache_[g];
   if (!entry.has_value()) return false;
   if (entry->validated_epoch != set_.kill_epoch()) {
@@ -158,20 +153,17 @@ bool IncrementalEngine::CacheLookup(GraphId g,
   out->expansions = 0;
   out->joins = 0;
   out->truncated = false;
-  if (warm != nullptr) *warm = entry->warm;
-  if (speculative != nullptr) *speculative = entry->speculative;
+  *warm = entry->warm;
   return true;
 }
 
 void IncrementalEngine::CacheStore(GraphId g,
-                                   const PivotSearcher::SearchResult& result,
-                                   bool speculative) {
+                                   const PivotSearcher::SearchResult& result) {
   CachedSearch entry;
   entry.path = result.path;
   entry.members = result.members;
   entry.count = result.count;
   entry.validated_epoch = set_.kill_epoch();
-  entry.speculative = speculative;
   search_cache_[g] = std::move(entry);
   // Epoch-0 results are the transferable ones: computed against the
   // untouched alive set, so an identical-content engine can start from
@@ -185,83 +177,22 @@ void IncrementalEngine::CacheStore(GraphId g,
   }
 }
 
-void IncrementalEngine::SerialScan(const std::vector<GraphId>& order,
-                                   bool sampling, int best_count,
-                                   PivotSearcher::SearchResult* best) {
-  for (GraphId g : order) {
-    options_.cancel.Check();
-    // Sampled counts never exceed full counts, so the full-unit upper
-    // bounds remain sound against a sample-unit best_count.
-    if (upper_bounds_[g] <= best_count) break;  // Algorithm 7 line 5
-    if (stats_.expansions >= options_.max_total_expansions) {
-      stats_.truncated = true;
-      break;
-    }
-    char restore_mask = 0;
-    if (sampling) {
-      restore_mask = sample_mask_[g];
-      sample_mask_[g] = 1;  // the searched graph always counts itself
-    }
-    PivotSearcher::SearchResult result = searcher_.Search(
-        g, best_count, &lower_bounds_,
-        options_.max_total_expansions - stats_.expansions,
-        sampling ? &sample_mask_ : nullptr);
-    if (sampling) sample_mask_[g] = restore_mask;
-    ++stats_.searches;
-    stats_.expansions += result.expansions;
-    stats_.joins += result.joins;
-    stats_.truncated |= result.truncated;
-    if (result.found) {
-      // Under sampling these bounds are in sample units (under-estimates
-      // of full counts); the ordering they induce is approximate, which
-      // is the deal Appendix E's sampling makes.
-      lower_bounds_[g] = std::max(lower_bounds_[g], result.count);
-      upper_bounds_[g] = result.count;
-      best_count = result.count;
-      *best = std::move(result);
-    } else {
-      // The pivot of g cannot be shared by more than best_count graphs
-      // (of the sample, when sampling).
-      upper_bounds_[g] = best_count;
-    }
-  }
-}
-
-void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
-                                 int best_count,
-                                 PivotSearcher::SearchResult* best) {
-  const bool reuse = options_.reuse_search_results;
-  const size_t pool_wave = pool_ != nullptr && !pool_->InWorkerThread()
-                               ? static_cast<size_t>(pool_->num_threads())
-                               : 1;
-  size_t max_wave = pool_wave;
-  if (options_.adaptive_wave_sizing && pool_wave > 1) {
-    // Waves wider than the hardware can actually run concurrently are
-    // pure speculation; pay for that width only at the rate speculation
-    // has been observed to pay off (a speculative result that later
-    // served a cache hit was free). Optimistic full width until enough
-    // samples accumulated. Any width yields byte-identical output — the
-    // replay discipline guarantees it — so this trades statistics only.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const size_t base =
-        std::min(pool_wave, static_cast<size_t>(hw == 0 ? 1 : hw));
-    if (base < pool_wave &&
-        stats_.speculative_searches >= kAdaptiveWaveMinSamples) {
-      const double rate = static_cast<double>(stats_.speculative_hits) /
-                          static_cast<double>(stats_.speculative_searches);
-      max_wave = base + static_cast<size_t>(
-                            rate * static_cast<double>(pool_wave - base) +
-                            0.5);
-      if (max_wave < 1) max_wave = 1;
-      if (max_wave > pool_wave) max_wave = pool_wave;
-    }
-  }
+void IncrementalEngine::Scan(const std::vector<GraphId>& order, bool exact,
+                             bool sampling, int best_count,
+                             PivotSearcher::SearchResult* best) {
+  const bool reuse = exact && options_.reuse_search_results;
+  // Non-exact modes run waves of one search: sampling re-counts against
+  // this round's mask and budgets make outcomes spend-dependent, so
+  // nothing may be searched ahead of the lazy serial order.
+  const size_t max_wave =
+      exact && pool_ != nullptr && !pool_->InWorkerThread()
+          ? static_cast<size_t>(pool_->num_threads())
+          : 1;
 
   struct Slot {
     GraphId g = 0;
     bool cached = false;
-    bool warm = false;         // cached entry came from the shared cache
-    bool speculative = false;  // cached entry was stored by speculation
+    bool warm = false;  // cached entry came from the shared cache
     PivotSearcher::SearchResult result;
     std::vector<int> bounds;  // private Glo copy of a concurrent search
   };
@@ -281,20 +212,11 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
     if (slot->cached) {
       ++stats_.cache_hits;
       if (slot->warm) ++stats_.warm_hits;
-      if (slot->speculative) {
-        // Count each speculative search as "paid off" at most once —
-        // the entry survives for further (plain) hits, but the adaptive
-        // rate divides by speculative_searches, which counts each
-        // search once, so the numerator must too.
-        ++stats_.speculative_hits;
-        if (search_cache_[g].has_value()) {
-          search_cache_[g]->speculative = false;
-        }
-      }
     } else {
       ++stats_.searches;
       stats_.expansions += slot->result.expansions;
       stats_.joins += slot->result.joins;
+      stats_.truncated |= slot->result.truncated;
       // Merge the private Glo raises back (entries only ever rise, so
       // an element-wise max reproduces the in-place writes).
       if (!slot->bounds.empty()) {
@@ -302,11 +224,12 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
           lower_bounds_[k] = std::max(lower_bounds_[k], slot->bounds[k]);
         }
       }
-      if (reuse && slot->result.found) {
-        CacheStore(g, slot->result, /*speculative=*/false);
-      }
+      if (reuse && slot->result.found) CacheStore(g, slot->result);
     }
     if (slot->result.found && slot->result.count > best_count) {
+      // Under sampling these bounds are in sample units (under-estimates
+      // of full counts); the ordering they induce is approximate, which
+      // is the deal Appendix E's sampling makes.
       lower_bounds_[g] = std::max(lower_bounds_[g], slot->result.count);
       if (slot->cached) {
         // The DFS that produced this result raised the Glo of every
@@ -320,17 +243,24 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
       best_count = slot->result.count;
       *best = std::move(slot->result);
     } else {
-      // The pivot of g cannot be shared by more than best_count graphs.
+      // The pivot of g cannot be shared by more than best_count graphs
+      // (of the sample, when sampling).
       upper_bounds_[g] = best_count;
     }
     return true;
   };
 
   size_t pos = 0;
+  // Sampled counts never exceed full counts, so the full-unit upper
+  // bounds remain sound against a sample-unit best_count.
   while (pos < order.size() && upper_bounds_[order[pos]] > best_count) {
     // Cancellation checkpoint between waves: a tripped request unwinds
     // after at most one wave of searches (bounded by the pool width).
     options_.cancel.Check();
+    if (stats_.expansions >= options_.max_total_expansions) {
+      stats_.truncated = true;
+      break;
+    }
     // A cached result at the head of the remaining order applies
     // immediately: it costs no DFS, keeps the scan exactly as lazy as a
     // serial scan with the same cache (no search is dispatched that the
@@ -340,7 +270,7 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
     if (reuse) {
       Slot head;
       head.g = order[pos];
-      if (CacheLookup(head.g, &head.result, &head.warm, &head.speculative)) {
+      if (CacheLookup(head.g, &head.result, &head.warm)) {
         head.cached = true;
         apply(&head);  // guard holds: the outer condition just checked it
         ++pos;
@@ -348,11 +278,10 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
       }
     }
 
-    // Form the next search wave: up to max_wave (the pool width) cache
-    // misses; cached results interleaved past the first miss ride along
-    // for free and replay in order. Membership only affects how much
-    // gets speculated — the replay makes every wave composition land on
-    // the same state.
+    // Form the next search wave: up to max_wave cache misses; cached
+    // results interleaved past the first miss ride along for free and
+    // replay in order. Membership only affects how much gets speculated —
+    // the replay makes every wave composition land on the same state.
     slots.clear();
     size_t wave_end = pos;
     size_t searches_needed = 0;
@@ -362,8 +291,7 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
       slot.g = order[wave_end];
       // The head slot was already looked up (a miss) above.
       if (reuse && wave_end != pos) {
-        slot.cached =
-            CacheLookup(slot.g, &slot.result, &slot.warm, &slot.speculative);
+        slot.cached = CacheLookup(slot.g, &slot.result, &slot.warm);
       }
       if (!slot.cached) {
         if (searches_needed == max_wave) break;
@@ -381,13 +309,24 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
     wave_span.AddAttr("slots", static_cast<int64_t>(slots.size()));
     wave_span.AddAttr("searches", static_cast<int64_t>(searches_needed));
 
-    // Resolve the cache misses. Every search uses the wave-start
-    // threshold and (concurrently) a private snapshot of the wave-start
-    // Glo state; both choices leave the per-graph outcome unchanged (see
-    // the header), so resolution order never matters.
+    // Resolve the cache misses. A lone search runs in place on the live
+    // Glo under the budget left (and, when sampling, the mask with the
+    // searched graph counting itself). Wider waves search against the
+    // wave-start threshold and private snapshots of the wave-start Glo;
+    // both choices leave the per-graph outcome unchanged (see the
+    // header), so resolution order never matters.
     if (slots.size() == 1) {
-      slots[0].result =
-          searcher_.Search(slots[0].g, best_count, &lower_bounds_);
+      const GraphId g = slots[0].g;
+      char restore_mask = 0;
+      if (sampling) {
+        restore_mask = sample_mask_[g];
+        sample_mask_[g] = 1;
+      }
+      slots[0].result = searcher_.Search(
+          g, best_count, &lower_bounds_,
+          options_.max_total_expansions - stats_.expansions,
+          sampling ? &sample_mask_ : nullptr);
+      if (sampling) sample_mask_[g] = restore_mask;
     } else {
       ParallelFor(pool_, slots.size(), [&, best_count](size_t i) {
         Slot& slot = slots[i];
@@ -423,9 +362,7 @@ void IncrementalEngine::WaveScan(const std::vector<GraphId>& order,
         ++stats_.speculative_searches;
         stats_.expansions += slot.result.expansions;
         stats_.joins += slot.result.joins;
-        if (reuse && slot.result.found) {
-          CacheStore(slot.g, slot.result, /*speculative=*/true);
-        }
+        if (reuse && slot.result.found) CacheStore(slot.g, slot.result);
       }
       break;
     }
@@ -462,16 +399,8 @@ void IncrementalEngine::FillPeek() {
   const bool exact = !sampling &&
                      options_.max_expansions_per_search == kUnlimited &&
                      options_.max_total_expansions == kUnlimited;
-  const int best_count = tau - 1;
   PivotSearcher::SearchResult best;
-  if (exact) {
-    WaveScan(order, best_count, &best);
-  } else {
-    // Sampling re-counts against a fresh mask every round and budgets
-    // make outcomes spend-dependent: both keep the documented lazy
-    // serial scan (and no result reuse).
-    SerialScan(order, sampling, best_count, &best);
-  }
+  Scan(order, exact, sampling, /*best_count=*/tau - 1, &best);
   if (best.found) {
     peek_ = ReplacementGroup{std::move(best.path), std::move(best.members)};
   }
@@ -506,6 +435,13 @@ std::optional<ReplacementGroup> IncrementalEngine::Next() {
   std::optional<ReplacementGroup> out = peek_;
   ConsumePeeked();
   return out;
+}
+
+void IncrementalEngine::LimitExpansions(uint64_t remaining) {
+  // The cap stays finite, so the engine stays non-exact.
+  USTL_CHECK(options_.max_total_expansions != kUnlimited &&
+             remaining < kUnlimited - stats_.expansions);
+  options_.max_total_expansions = stats_.expansions + remaining;
 }
 
 int IncrementalEngine::UpperHint() const {

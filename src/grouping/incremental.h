@@ -6,20 +6,20 @@
 // descending upper-bound order and the scan stops as soon as no unvisited
 // graph can beat the best group found.
 //
-// Parallel wave scan (exact mode): a pivot search's outcome — the
-// canonical first-found maximal path, its count and members — does not
-// depend on the threshold it was asked to beat or the Glo state it pruned
-// under (valid bounds only skip subtrees that cannot contain a maximal
-// path; see pivot_search.h). FillPeek exploits that: it resolves the
+// One scan loop, in waves: a pivot search's outcome — the canonical
+// first-found maximal path, its count and members — does not depend on
+// the threshold it was asked to beat or the Glo state it pruned under
+// (valid bounds only skip subtrees that cannot contain a maximal path;
+// see pivot_search.h). FillPeek exploits that: it resolves the
 // descending-Gup order in waves on the thread pool, every wave searching
 // against the wave-start threshold and a private Glo snapshot, then
 // REPLAYS the results in scan order with the serial update rules — found
 // iff the count beats the evolved running best, the same Gup/Glo writes,
-// the same stop point. Results a serial scan would never have computed
-// are discarded (their bound updates never land), so the engine's
-// cross-round state is byte-identical for every wave size and thread
-// count; the speculative searches cost only expansion statistics — and
-// warm the result cache below.
+// the same stop point. Results past the stop point are discarded (their
+// bound updates never land), so the engine's cross-round state is
+// byte-identical for every wave width and thread count; the speculative
+// searches cost only expansion statistics — and warm the result cache
+// below. A wave of one search runs in place on the live Glo.
 //
 // Cross-round search-result reuse: ConsumePeeked only ever KILLS graphs,
 // and shrinking the alive set can only lower path counts. A cached pivot
@@ -34,18 +34,17 @@
 // untouched alive set) are published to / seeded from a shared
 // SearchResultCache keyed by engine content, so an engine whose graphs
 // repeat an earlier engine's never re-runs its round-one searches
-// (IncrementalOptions::shared_cache, grouping/search_cache.h); wave
-// widths are sized adaptively from the observed speculation hit rate
-// (IncrementalOptions::adaptive_wave_sizing).
+// (IncrementalOptions::shared_cache, grouping/search_cache.h).
 //
-// Both accelerations apply in exact mode only. Sampling (Appendix E)
-// re-counts against a fresh mask every round, and finite expansion
-// budgets make results depend on how much the previous searches spent —
-// those configurations keep the documented lazy serial scan.
+// Exactness gates: waves wider than one and result reuse apply in exact
+// mode only. Sampling (Appendix E) re-counts against a fresh mask every
+// round, and finite expansion budgets make results depend on how much the
+// previous searches spent, so those modes scan in waves of one search,
+// without reuse — the lazy serial order.
 //
-// Deviation from the paper (see DESIGN.md): Algorithm 7 initializes the
-// pruning threshold to tau (the largest lower bound), which misses a
-// largest group of size exactly tau; we use tau - 1.
+// Deviation from the paper: Algorithm 7 initializes the pruning threshold
+// to tau (the largest lower bound), which misses a largest group of size
+// exactly tau; we use tau - 1.
 #ifndef USTL_GROUPING_INCREMENTAL_H_
 #define USTL_GROUPING_INCREMENTAL_H_
 
@@ -88,19 +87,6 @@ struct IncrementalOptions {
   /// byte-identical either way; off only costs repeated searches. Ignored
   /// (always off) under sampling or finite expansion budgets.
   bool reuse_search_results = true;
-  /// Adaptive wave sizing for the exact-mode wave scan. The wave width
-  /// defaults to the pool width, which speculates past the serial stop
-  /// point even on hardware that cannot run the wave concurrently (a
-  /// 1-hardware-thread box pays DFS expansions for results nobody may
-  /// ever consult). With this on, waves start at the pool width (trust
-  /// speculation until measured) and are then re-sized each round to
-  /// base + hit_rate * (pool - base), where base = min(pool width,
-  /// hardware threads) is the genuinely concurrent width and hit_rate is
-  /// the observed fraction of speculative searches whose results later
-  /// became cache hits (those searches were free). Output is
-  /// byte-identical for any wave size, so this knob moves statistics
-  /// only. No effect when the pool width is 1 or in non-exact modes.
-  bool adaptive_wave_sizing = true;
   /// Cross-engine warm start (see grouping/search_cache.h): a borrowed
   /// shared cache plus this engine's content key. When the key is valid
   /// and exact mode applies (reuse on, no sampling, unlimited budgets),
@@ -110,17 +96,16 @@ struct IncrementalOptions {
   /// cold; the cache must outlive the engine.
   SearchResultCache* shared_cache = nullptr;
   SearchCacheKey shared_cache_key;
-  /// Cooperative cancellation (common/cancel.h): the scan loops call
-  /// Check() at their heads — on the driver thread and between waves, so
-  /// a tripped token unwinds within one wave of searches. An unwound
+  /// Cooperative cancellation (common/cancel.h): the scan loop calls
+  /// Check() at its head — on the calling thread and between waves, so a
+  /// tripped token unwinds within one wave of searches. An unwound
   /// engine is abandoned by its request; nothing partial is published to
   /// the shared cache (only complete per-graph results ever are).
   CancelToken cancel;
-  /// Per-request trace (obs/trace.h; null = untraced): the wave scan
-  /// opens one search_wave span per wave under `trace_parent` carrying
-  /// the wave's width/hit counters. Statistics only — wave sizing,
-  /// replay and reuse never read the trace, so output is byte-identical
-  /// traced or not.
+  /// Per-request trace (obs/trace.h; null = untraced): the scan opens
+  /// one search_wave span per wave under `trace_parent` carrying the
+  /// wave's width/hit counters. Statistics only — waves, replay and reuse
+  /// never read the trace, so output is byte-identical traced or not.
   TraceContext* trace = nullptr;
   uint64_t trace_parent = 0;
 };
@@ -138,12 +123,6 @@ struct IncrementalStats {
   /// the point the replay stopped at). Pure speculation cost — their
   /// results still land in the reuse cache.
   uint64_t speculative_searches = 0;
-  /// Speculative searches whose stored result later served a cache hit:
-  /// speculation that retroactively became free. Each speculative search
-  /// is counted at most once (the entry's flag clears on its first hit),
-  /// so the ratio to speculative_searches — which drives adaptive wave
-  /// sizing — is a true fraction in [0, 1].
-  uint64_t speculative_hits = 0;
   /// The subset of cache_hits served from a cross-engine warm-start entry
   /// (IncrementalOptions::shared_cache): DFS work another engine already
   /// paid for.
@@ -158,9 +137,9 @@ struct IncrementalStats {
 class IncrementalEngine {
  public:
   /// `pool` (borrowed, may be null) parallelizes the exact-mode FillPeek
-  /// wave scan; output is byte-identical for any pool / thread count.
-  /// Calls issued from one of the pool's own worker threads degrade to
-  /// the serial scan (nested ParallelFor runs inline).
+  /// waves; output is byte-identical for any pool / thread count. Calls
+  /// issued from one of the pool's own worker threads scan in waves of
+  /// one (nested ParallelFor would run inline anyway).
   IncrementalEngine(GraphSet set, IncrementalOptions options,
                     ThreadPool* pool = nullptr);
 
@@ -190,6 +169,12 @@ class IncrementalEngine {
   /// per sub-group per round) cost O(1).
   int UpperHint() const;
 
+  /// Caps this engine's further DFS expansions at `remaining` from now on
+  /// (a budget shared with other engines: the caller re-issues whatever
+  /// is left before each Peek). Only for engines constructed with a
+  /// finite max_total_expansions, so the exactness gates never move.
+  void LimitExpansions(uint64_t remaining);
+
   size_t AliveCount() const { return set_.AliveCount(); }
   const GraphSet& set() const { return set_; }
   const IncrementalStats& stats() const { return stats_; }
@@ -205,30 +190,23 @@ class IncrementalEngine {
     uint64_t validated_epoch = 0;
     /// Seeded from the cross-engine shared cache (stats attribution).
     bool warm = false;
-    /// Stored by wave speculation past the serial stop point; a later hit
-    /// on it proves the speculation was free (adaptive wave sizing).
-    bool speculative = false;
   };
 
   void InitUpperBounds();
   void FillPeek();
-  /// The legacy strictly-serial threshold scan, used whenever exact mode
-  /// is off (sampling or finite budgets).
-  void SerialScan(const std::vector<GraphId>& order, bool sampling,
-                  int best_count, PivotSearcher::SearchResult* best);
-  /// Exact-mode scan: waves + serial replay + result reuse.
-  void WaveScan(const std::vector<GraphId>& order, int best_count,
-                PivotSearcher::SearchResult* best);
+  /// The threshold scan (Algorithm 7) in waves + serial replay. `exact`
+  /// enables pool-wide waves and result reuse; otherwise every wave is one
+  /// in-place search under the budget left and, when `sampling`, the
+  /// sample mask.
+  void Scan(const std::vector<GraphId>& order, bool exact, bool sampling,
+            int best_count, PivotSearcher::SearchResult* best);
   /// Copies a still-valid cached pivot of `g` into `*out` (found = true)
-  /// and reports where the entry came from via the optional flags.
-  /// Returns false (and drops stale entries) otherwise.
-  bool CacheLookup(GraphId g, PivotSearcher::SearchResult* out,
-                   bool* warm = nullptr, bool* speculative = nullptr);
-  /// `speculative` marks results the serial scan would not have computed
-  /// this round. Epoch-0 results are also published to the shared
-  /// cross-engine cache when one is configured.
-  void CacheStore(GraphId g, const PivotSearcher::SearchResult& result,
-                  bool speculative);
+  /// and sets `*warm` when the entry came from the shared cache. Returns
+  /// false (and drops stale entries) otherwise.
+  bool CacheLookup(GraphId g, PivotSearcher::SearchResult* out, bool* warm);
+  /// Epoch-0 results are also published to the shared cross-engine cache
+  /// when one is configured.
+  void CacheStore(GraphId g, const PivotSearcher::SearchResult& result);
   /// Seeds search_cache_ from the shared cross-engine cache (constructor
   /// helper; no-op unless options enable it).
   void WarmStartFromSharedCache();

@@ -32,7 +32,6 @@ PipelineRun ColumnScheduler::Run(Table* table,
                 table->num_columns(), static_cast<size_t>(INT_MAX)))
           : 1;
   service_options.broker = options_.broker;
-  service_options.share_search_cache = options_.warm_search_cache;
   ConsolidationService service(backend, service_options);
   RequestOptions request_options;
   request_options.trace_sink = options_.trace_sink;
@@ -75,30 +74,6 @@ std::string FingerprintConsolidation(const Table& table,
     }
     out += '\n';
   }
-  return out;
-}
-
-// Declared in consolidate/framework.h; defined here so the consolidate
-// layer never includes pipeline headers (the dependency stays
-// pipeline -> consolidate only).
-GoldenRecordRun GoldenRecordCreation(Table* table, VerificationOracle* oracle,
-                                     const FrameworkOptions& options) {
-  // Serial, cache-off pipeline configuration: the backend sees exactly the
-  // question sequence the historical per-column loop produced, for any
-  // oracle — including stateful ones that predate the order-independence
-  // contract. The cross-column search warm start stays off too: identical
-  // output either way, but legacy callers comparing search statistics
-  // should see the historical counts.
-  PipelineOptions pipeline;
-  pipeline.framework = options;
-  pipeline.column_parallel = false;
-  pipeline.num_threads = options.grouping.num_threads;
-  pipeline.broker.cache_verdicts = false;
-  pipeline.warm_search_cache = false;
-  PipelineRun run = RunConsolidationPipeline(table, oracle, pipeline);
-  GoldenRecordRun out;
-  out.per_column = std::move(run.per_column);
-  out.golden_records = std::move(run.golden_records);
   return out;
 }
 

@@ -50,11 +50,6 @@ struct PipelineOptions {
   /// engines as described above.
   int num_threads = 1;
   OracleBroker::Options broker;
-  /// Cross-column pivot-search warm start (grouping/search_cache.h): the
-  /// run owns one SearchResultCache, so a column whose content repeats an
-  /// earlier column's skips its round-one searches. Output is
-  /// byte-identical on or off; off only repeats searches.
-  bool warm_search_cache = true;
   /// Per-request trace sink (obs/trace.h; borrowed, null = untraced),
   /// forwarded to the underlying service request — the one-shot facade's
   /// run appears as a single traced request. Observability only; output
@@ -71,11 +66,12 @@ struct PipelineRun {
   std::vector<ApprovedTransformation> approved_log;
 };
 
-/// Drives GoldenRecordCreation through the scheduler + broker. Since the
-/// serving layer landed, this is a thin one-shot facade over
-/// serve/service.h: each Run constructs a single-request
+/// Algorithm 1 through the scheduler + broker: a thin one-shot facade
+/// over serve/service.h. Each Run constructs a single-request
 /// ConsolidationService (fresh broker and search cache — Run-scoped
-/// warmth), submits the table and waits. Long-lived deployments that
+/// warmth; a column whose content repeats an earlier column's skips its
+/// round-one searches unless `framework.grouping.reuse_search_results`
+/// is off), submits the table and waits. Long-lived deployments that
 /// want caches persisting ACROSS tables use ConsolidationService
 /// directly.
 class ColumnScheduler {

@@ -773,8 +773,7 @@ void ConsolidationService::ExecuteColumn(Request* request, size_t column,
     framework.request_id = request->id;
     framework.column_name = request->table->column_names()[column];
     framework.grouping.num_threads = grouping_threads;
-    framework.grouping.shared_search_cache =
-        options_.share_search_cache ? &search_cache_ : nullptr;
+    framework.grouping.shared_search_cache = &search_cache_;
     if (framework.progress_callback != nullptr && workers_ > 1) {
       auto callback = request->framework.progress_callback;
       framework.progress_callback = [this, callback](size_t presented,

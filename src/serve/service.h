@@ -79,14 +79,14 @@ struct ServiceOptions {
   /// service, so long-lived deployments should set
   /// `broker.max_cache_entries`.
   OracleBroker::Options broker;
-  /// Share one cross-engine pivot-search cache across all requests (see
-  /// grouping/search_cache.h): a column whose content repeats an earlier
-  /// column's — in this request or any previous one — skips its round-one
-  /// searches. Byte-identical on or off.
-  bool share_search_cache = true;
-  /// Bounds for the shared search cache; like the broker's verdict
-  /// cache, a long-lived service should set `search_cache.max_keys` so
-  /// a stream of distinct tables cannot grow it without limit.
+  /// Bounds for the cross-engine pivot-search cache the service lends
+  /// every column job (grouping/search_cache.h): a column whose content
+  /// repeats an earlier column's — in this request or any previous one —
+  /// skips its round-one searches, byte-identically. Like the broker's
+  /// verdict cache, a long-lived service should set
+  /// `search_cache.max_keys` so a stream of distinct tables cannot grow
+  /// it without limit. `framework.grouping.reuse_search_results = false`
+  /// keeps the engines from using it.
   SearchResultCache::Options search_cache;
   /// Bound on requests admitted but not yet completed; Submit blocks
   /// while the backlog is at the bound.

@@ -254,5 +254,23 @@ TEST(FrameworkTest, GoldenRecordCreationEndToEnd) {
   EXPECT_TRUE(run.golden_records[1][0].has_value());
 }
 
+TEST(FrameworkTest, GoldenRecordCreationHonorsTheCallersCancelToken) {
+  Table table({"Address"});
+  size_t c0 = table.AddCluster();
+  table.AddRecord(c0, {"9 Street"});
+  table.AddRecord(c0, {"9 St"});
+  table.AddRecord(c0, {"9 St"});
+  ApproveAllOracle oracle;
+  CancelState state;
+  state.Cancel();
+  FrameworkOptions options;
+  options.budget_per_column = 10;
+  options.cancel = CancelToken(&state);
+  EXPECT_THROW(GoldenRecordCreation(&table, &oracle, options), CancelledError);
+  EXPECT_EQ(table.cluster(c0)[0][0], "9 Street");
+  EXPECT_EQ(table.cluster(c0)[1][0], "9 St");
+  EXPECT_EQ(table.cluster(c0)[2][0], "9 St");
+}
+
 }  // namespace
 }  // namespace ustl

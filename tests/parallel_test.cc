@@ -348,6 +348,45 @@ TEST(ParallelDeterminismTest, TiedMoveOrderIsPinned) {
   EXPECT_EQ(GroupSequenceFingerprint(groups), 15250879794990503729ull);
 }
 
+// The non-exact modes — a per-search expansion cap and Appendix-E
+// sampling — scan in waves of one search without reuse, in the lazy
+// serial order. Like the exact counters above, a moved value means the
+// scan visits different searches: a behaviour change to explain.
+TEST(ParallelDeterminismTest, NonExactSerialWorkIsPinned) {
+  GeneratedDataset data;
+  std::vector<StringPair> pairs = DatasetPairs(&data);
+  auto drain = [&](const GroupingOptions& options, IncrementalStats* stats) {
+    GroupingEngine engine(pairs, options);
+    std::vector<Group> groups;
+    while (std::optional<Group> group = engine.Next()) {
+      groups.push_back(std::move(*group));
+    }
+    *stats = engine.stats();
+    return groups;
+  };
+  {
+    GroupingOptions options;
+    options.max_expansions_per_search = 200;
+    IncrementalStats stats;
+    const std::vector<Group> groups = drain(options, &stats);
+    EXPECT_EQ(groups.size(), 292u);
+    EXPECT_EQ(stats.searches, 350u);
+    EXPECT_EQ(stats.expansions, 12989u);
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_EQ(GroupSequenceFingerprint(groups), 10251136328232780714ull);
+  }
+  {
+    GroupingOptions options;
+    options.pivot_sample_size = 5;
+    IncrementalStats stats;
+    const std::vector<Group> groups = drain(options, &stats);
+    EXPECT_EQ(groups.size(), 291u);
+    EXPECT_EQ(stats.searches, 348u);
+    EXPECT_EQ(stats.expansions, 23768u);
+    EXPECT_EQ(GroupSequenceFingerprint(groups), 7982453118952110185ull);
+  }
+}
+
 TEST(ParallelDeterminismTest, GroupAllUpfrontIsIdenticalAcrossThreadCounts) {
   GeneratedDataset data;
   std::vector<StringPair> pairs = DatasetPairs(&data);
@@ -373,7 +412,7 @@ TEST(ParallelDeterminismTest, GroupAllUpfrontIsIdenticalAcrossThreadCounts) {
 // The wave scan of one structure group, exercised directly on an
 // IncrementalEngine sharing a pool: group sequence and membership must be
 // byte-identical to the serial engine, cache on or off.
-TEST(ParallelDeterminismTest, IncrementalWaveScanMatchesSerialScan) {
+TEST(ParallelDeterminismTest, IncrementalWavesMatchTheSerialEngine) {
   GeneratedDataset data;
   std::vector<StringPair> all_pairs = DatasetPairs(&data);
   // The engine serves one structure group at a time in production; take
@@ -444,32 +483,22 @@ TEST(ParallelDeterminismTest, FiniteBudgetKeepsTheLazySerialOrder) {
   }
 }
 
-// ISSUE 5: adaptive wave sizing moves speculation statistics only — the
-// group sequence stays byte-identical to the serial baseline for any
-// thread count, with sizing on or off.
-TEST(ParallelDeterminismTest, AdaptiveWaveSizingKeepsGroupsIdentical) {
+// max_total_expansions is one budget across structure groups: an engine
+// preprocessed early must not keep spending the larger remainder it saw
+// when it was created. The DFS counts the expansion that trips the cap,
+// so the drain may overshoot by exactly one.
+TEST(ParallelDeterminismTest, TotalBudgetIsSharedAcrossStructureGroups) {
   GeneratedDataset data;
   std::vector<StringPair> pairs = DatasetPairs(&data);
-  auto run = [&](int threads, bool adaptive) {
-    GroupingOptions options;
-    options.num_threads = threads;
-    options.adaptive_wave_sizing = adaptive;
-    GroupingEngine engine(pairs, options);
-    std::vector<Group> groups;
-    while (std::optional<Group> group = engine.Next()) {
-      groups.push_back(std::move(*group));
-    }
-    return groups;
-  };
-  std::vector<Group> baseline = run(1, true);
-  ASSERT_GT(baseline.size(), 5u);
-  for (int threads : {1, 2, 4}) {
-    for (bool adaptive : {true, false}) {
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " adaptive=" << adaptive);
-      ExpectSameGroups(baseline, run(threads, adaptive));
-    }
-  }
+  GroupingOptions options;
+  options.num_threads = 1;
+  options.max_total_expansions = 20000;
+  GroupingEngine engine(pairs, options);
+  size_t groups = 0;
+  while (engine.Next().has_value()) ++groups;
+  EXPECT_GT(groups, 0u);
+  EXPECT_LE(engine.stats().expansions, 20001u);
+  EXPECT_TRUE(engine.stats().truncated);
 }
 
 // ISSUE 5: the cross-engine search cache warm-starts an identical-content

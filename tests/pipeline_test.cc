@@ -441,7 +441,8 @@ TEST(ColumnSchedulerTest, ReplayLogReproducesTheSessionTable) {
 }
 
 TEST(ColumnSchedulerTest, GoldenRecordCreationMatchesThePipeline) {
-  // The legacy entry point is the serial cache-off pipeline configuration.
+  // Algorithm 1's plain column loop produces the output, and asks the
+  // questions, of the serial verdict-cache-off pipeline.
   Table via_legacy = MakeMultiColumnTable();
   Table via_pipeline = MakeMultiColumnTable();
   SimulatedOracle legacy_oracle = MakeNoisyOracle();

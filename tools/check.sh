@@ -136,6 +136,14 @@ leg_serve() {
       cmp_serve_outputs .r2
     done
   done
+  # --search-cache off is the one switch for search-result reuse: the
+  # service still lends its cache, but round 2 must warm-start nothing.
+  ./build/ustl-serve --manifest build/serve_fwd.txt --search-cache off \
+    --threads 4 --repeat 2 > build/serve_nocache.jsonl
+  cmp_serve_outputs
+  cmp_serve_outputs .r2
+  grep '"round": 2,' build/serve_nocache.jsonl |
+    grep -q '"search_warm_hits": 0,'
   echo "multi-table serve smoke: byte-identical"
 }
 

@@ -1,8 +1,8 @@
 // End-to-end consolidation CLI (Algorithm 1 as a command-line tool).
 //
-//   ustl-consolidate --input clustered.csv --cluster-col cluster \
-//                    --output standardized.csv \
-//                    [--budget N] [--approve all|interactive] \
+//   ustl-consolidate --input clustered.csv --cluster-col cluster
+//                    --output standardized.csv
+//                    [--budget N] [--approve all|interactive]
 //                    [--log transforms.txt] [--golden golden.csv]
 //
 // Reads entity-resolution output (a CSV with a cluster-key column),
@@ -230,7 +230,6 @@ int main(int argc, char** argv) {
     pipeline.column_parallel = args.column_parallel;
     pipeline.num_threads = args.threads;
     pipeline.broker.cache_verdicts = args.oracle_cache == "on";
-    pipeline.warm_search_cache = args.search_cache == "on";
     PipelineRun run = RunConsolidationPipeline(&table, &approve_all,
                                                pipeline);
     for (size_t col = 0; col < table.num_columns(); ++col) {

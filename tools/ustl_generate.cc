@@ -1,5 +1,6 @@
-// Dataset generator CLI: writes one of the three synthetic dataset analogs
-// (DESIGN.md, Table 6) as a clustered CSV that ustl-consolidate can ingest.
+// Dataset generator CLI: writes one of the three synthetic analogs of the
+// paper's datasets (Table 6) as a clustered CSV that ustl-consolidate can
+// ingest.
 //
 //   ustl-generate --dataset address --scale 0.3 --out address.csv
 //

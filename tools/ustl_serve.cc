@@ -528,7 +528,6 @@ int main(int argc, char** argv) {
   }
   service_options.broker.cache_verdicts = args.oracle_cache == "on";
   service_options.broker.max_cache_entries = args.max_cache_entries;
-  service_options.share_search_cache = args.search_cache == "on";
   service_options.framework.budget_per_column = args.budget;
   service_options.framework.grouping.reuse_search_results =
       args.search_cache == "on";
