@@ -1,7 +1,9 @@
 #include "dsl/parser.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 
 namespace ustl {
 namespace {
@@ -95,18 +97,28 @@ class Parser {
                                    std::to_string(pos_) + ": " + reason);
   }
 
+  // Reads an integer in [-INT_MAX, INT_MAX]: a symmetric range, so -k is
+  // representable for every parsed k. Anything outside it is an error.
   Status ParseInt(int* out) {
     SkipSpace();
     const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    const bool negative = pos_ < text_.size() && text_[pos_] == '-';
+    if (negative) ++pos_;
+    int64_t magnitude = 0;
+    bool in_range = true;
     while (pos_ < text_.size() &&
            std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      if (in_range) {
+        magnitude = magnitude * 10 + (text_[pos_] - '0');
+        in_range = magnitude <= std::numeric_limits<int>::max();
+      }
       ++pos_;
     }
-    if (pos_ == start || (text_[start] == '-' && pos_ == start + 1)) {
+    if (pos_ == start + (negative ? 1 : 0)) {
       return Error("expected an integer");
     }
-    *out = std::atoi(std::string(text_.substr(start, pos_ - start)).c_str());
+    if (!in_range) return Error("integer out of range");
+    *out = static_cast<int>(negative ? -magnitude : magnitude);
     return Status::OK();
   }
 

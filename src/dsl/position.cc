@@ -26,7 +26,7 @@ std::optional<int> PosFn::Eval(std::string_view s) const {
   const int n = static_cast<int>(s.size());
   if (kind_ == Kind::kConstPos) {
     if (k_ > 0 && k_ <= n + 1) return k_;
-    if (k_ < 0 && -k_ <= n + 1) return n + 2 + k_;
+    if (k_ < 0 && k_ >= -(n + 1)) return n + 2 + k_;
     return std::nullopt;
   }
   auto matches = FindMatches(term_, s);
@@ -34,7 +34,7 @@ std::optional<int> PosFn::Eval(std::string_view s) const {
   int idx;  // 1-based match index
   if (k_ > 0 && k_ <= m) {
     idx = k_;
-  } else if (k_ < 0 && -k_ <= m) {
+  } else if (k_ < 0 && k_ >= -m) {
     idx = m + 1 + k_;
   } else {
     return std::nullopt;
@@ -49,23 +49,6 @@ std::string PosFn::ToString() const {
   }
   return "MatchPos(" + term_.ToString() + ", " + std::to_string(k_) + ", " +
          (dir_ == Dir::kBegin ? "B" : "E") + ")";
-}
-
-std::string PosFn::Key() const {
-  std::string key;
-  key.push_back(kind_ == Kind::kConstPos ? 'C' : 'M');
-  key += std::to_string(k_);
-  if (kind_ == Kind::kMatchPos) {
-    key.push_back(dir_ == Dir::kBegin ? 'B' : 'E');
-    if (term_.is_regex()) {
-      key.push_back('r');
-      key.push_back(CharClassMnemonic(term_.char_class()));
-    } else {
-      key.push_back('c');
-      key += term_.literal();
-    }
-  }
-  return key;
 }
 
 bool PosFn::operator<(const PosFn& o) const {

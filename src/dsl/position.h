@@ -8,8 +8,8 @@
 //                        k-th match of term tau in s; negative k counts
 //                        matches from the end (k in [-m, -1] maps to m+1+k).
 //
-// Position functions are value types with a total order and a canonical
-// byte key, so they can be embedded in string functions and interned.
+// Position functions are value types with a total order, so they can be
+// embedded in string functions and interned.
 #ifndef USTL_DSL_POSITION_H_
 #define USTL_DSL_POSITION_H_
 
@@ -44,9 +44,6 @@ class PosFn {
 
   /// Debug form, e.g. "ConstPos(2)" or "MatchPos(TC, 1, B)".
   std::string ToString() const;
-
-  /// Canonical byte key for interning; injective over PosFn values.
-  std::string Key() const;
 
   bool operator==(const PosFn& o) const {
     return kind_ == o.kind_ && k_ == o.k_ && dir_ == o.dir_ &&

@@ -14,7 +14,7 @@ std::optional<TermMatch> ResolveMatch(const Term& term, int k,
   int idx;
   if (k > 0 && k <= m) {
     idx = k;
-  } else if (k < 0 && -k <= m) {
+  } else if (k < 0 && k >= -m) {
     idx = m + 1 + k;
   } else {
     return std::nullopt;
@@ -140,31 +140,6 @@ std::string StringFn::ToString() const {
       return "Suffix(" + term_.ToString() + ", " + std::to_string(k_) + ")";
   }
   return "?";
-}
-
-std::string StringFn::Key() const {
-  std::string key;
-  switch (kind_) {
-    case Kind::kConstantStr:
-      key.push_back('K');
-      key += constant_;
-      return key;
-    case Kind::kSubStr:
-      key.push_back('S');
-      key += left_.Key();
-      key.push_back('|');
-      key += right_.Key();
-      return key;
-    case Kind::kPrefix:
-      key.push_back('P');
-      break;
-    case Kind::kSuffix:
-      key.push_back('X');
-      break;
-  }
-  key.push_back(CharClassMnemonic(term_.char_class()));
-  key += std::to_string(k_);
-  return key;
 }
 
 bool StringFn::operator==(const StringFn& o) const {

@@ -24,7 +24,7 @@
 
 namespace ustl {
 
-/// A string function. Immutable value type with a canonical byte key.
+/// A string function. Immutable value type.
 class StringFn {
  public:
   enum class Kind : uint8_t {
@@ -58,9 +58,6 @@ class StringFn {
 
   /// Debug form, e.g. "SubStr(MatchPos(TC, 1, B), MatchPos(Tl, 1, E))".
   std::string ToString() const;
-
-  /// Canonical byte key for interning; injective over StringFn values.
-  std::string Key() const;
 
   bool operator==(const StringFn& o) const;
   bool operator<(const StringFn& o) const;

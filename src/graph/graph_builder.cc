@@ -1,9 +1,6 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
-#include <optional>
 
 #include "text/char_class.h"
 #include "text/terms.h"
@@ -53,8 +50,7 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
   // Oversized values get the trivial constant-only graph so that every
   // replacement keeps at least one transformation path (see header).
   if (n > options_.max_input_len || m > options_.max_output_len) {
-    graph.AddLabel(1, m + 1,
-                   interner_->Intern(StringFn::ConstantStr(std::string(t))));
+    graph.AddLabel(1, m + 1, interner_->InternConstant(t));
     return graph;
   }
 
@@ -140,37 +136,47 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
   // no extension substring scores strictly higher. Scores for all (i, j)
   // are precomputed, then extension maxima by prefix/suffix sweeps, so the
   // check is O(1) per edge instead of O(|t|) scorer lookups.
-  std::vector<std::vector<double>> score, left_ext_max, right_ext_max;
+  const int width = m + 2;
+  auto at = [width](int i, int j) { return i * width + j; };
+  std::vector<double> score, left_ext_max, right_ext_max;
   if (options_.scorer != nullptr) {
-    score.assign(m + 2, std::vector<double>(m + 2, 0.0));
+    score.assign(width * width, 0.0);
     left_ext_max = score;
     right_ext_max = score;
     for (int i = 1; i <= m; ++i) {
-      for (int j = i + 1; j <= m + 1; ++j) {
-        score[i][j] = options_.scorer->Score(t.substr(i - 1, j - i));
+      // Only class tokens score (TermScorer), so t[i, j) is looked up only
+      // while it stays inside one run of t[i]'s class; kOther tokens are
+      // single characters. Every other score is 0.
+      const CharClass c = ClassOf(t[i - 1]);
+      int run_end = i + 1;
+      if (c != CharClass::kOther) {
+        while (run_end <= m && ClassOf(t[run_end - 1]) == c) ++run_end;
+      }
+      for (int j = i + 1; j <= run_end; ++j) {
+        score[at(i, j)] = options_.scorer->Score(t.substr(i - 1, j - i));
       }
     }
     // left_ext_max[i][j] = max over k < i of score[k][j].
     for (int j = 2; j <= m + 1; ++j) {
       double running = 0.0;
       for (int i = 1; i < j; ++i) {
-        left_ext_max[i][j] = running;
-        running = std::max(running, score[i][j]);
+        left_ext_max[at(i, j)] = running;
+        running = std::max(running, score[at(i, j)]);
       }
     }
     // right_ext_max[i][j] = max over l > j of score[i][l].
     for (int i = 1; i <= m; ++i) {
       double running = 0.0;
       for (int j = m + 1; j > i; --j) {
-        right_ext_max[i][j] = running;
-        running = std::max(running, score[i][j]);
+        right_ext_max[at(i, j)] = running;
+        running = std::max(running, score[at(i, j)]);
       }
     }
   }
   auto const_allowed = [&](int i, int j) {
     if (options_.scorer == nullptr) return true;
-    return left_ext_max[i][j] <= score[i][j] &&
-           right_ext_max[i][j] <= score[i][j];
+    return left_ext_max[at(i, j)] <= score[at(i, j)] &&
+           right_ext_max[at(i, j)] <= score[at(i, j)];
   };
 
   // Class-token boundaries of t, for the token_aligned_labels restriction.
@@ -189,8 +195,7 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
       if (!edge_aligned(i, j)) continue;
       std::string_view u = t.substr(i - 1, j - i);
       if (options_.enable_constants && const_allowed(i, j)) {
-        graph.AddLabel(i, j,
-                       interner_->Intern(StringFn::ConstantStr(std::string(u))));
+        graph.AddLabel(i, j, interner_->InternConstant(u));
       }
       if (!options_.enable_substr) continue;
       int label_budget = options_.max_substr_labels_per_edge;
@@ -202,8 +207,7 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
           if (label_budget <= 0) break;
           for (const PosFn& right : positions[y]) {
             if (label_budget <= 0) break;
-            graph.AddLabel(i, j,
-                           interner_->Intern(StringFn::SubStr(left, right)));
+            graph.AddLabel(i, j, interner_->InternSubStr(left, right));
             --label_budget;
           }
         }
@@ -242,57 +246,13 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
 }
 
 Result<std::vector<TransformationGraph>> GraphBuilder::BuildBatch(
-    const std::vector<BuildRequest>& requests, ThreadPool* pool) const {
-  const size_t n = requests.size();
+    const std::vector<BuildRequest>& requests, ThreadPool* /*pool*/) const {
   std::vector<TransformationGraph> graphs;
-  graphs.reserve(n);
-
-  const bool serial = pool == nullptr || pool->num_threads() <= 1 ||
-                      pool->InWorkerThread() || n < 2;
-  if (serial) {
-    for (const BuildRequest& request : requests) {
-      Result<TransformationGraph> graph =
-          Build(request.source, request.target);
-      if (!graph.ok()) return graph.status();
-      graphs.push_back(std::move(graph).value());
-    }
-    return graphs;
-  }
-
-  // Parallel phase: every graph gets a private interner, so construction
-  // is lock-free and the shared interner is untouched until the merge.
-  struct Shard {
-    std::unique_ptr<LabelInterner> interner;
-    std::optional<TransformationGraph> graph;
-    Status status;
-  };
-  std::vector<Shard> shards(n);
-  ParallelFor(pool, n, [&](size_t i) {
-    Shard& shard = shards[i];
-    shard.interner = std::make_unique<LabelInterner>();
-    GraphBuilder local(options_, shard.interner.get());
-    Result<TransformationGraph> graph =
-        local.Build(requests[i].source, requests[i].target);
-    if (graph.ok()) {
-      shard.graph.emplace(std::move(graph).value());
-    } else {
-      shard.status = graph.status();
-    }
-  });
-
-  // Merge phase, sequential in request order: folding shard i's labels in
-  // local-id order replays the exact label first-sight sequence of the
-  // serial loop, so the shared interner ends up byte-for-byte the same.
-  std::vector<LabelId> remap;
-  for (Shard& shard : shards) {
-    if (!shard.status.ok()) return shard.status;
-    remap.clear();
-    remap.reserve(shard.interner->size());
-    for (LabelId local = 0; local < shard.interner->size(); ++local) {
-      remap.push_back(interner_->Intern(shard.interner->Get(local)));
-    }
-    shard.graph->RemapLabels(remap);
-    graphs.push_back(std::move(*shard.graph));
+  graphs.reserve(requests.size());
+  for (const BuildRequest& request : requests) {
+    Result<TransformationGraph> graph = Build(request.source, request.target);
+    if (!graph.ok()) return graph.status();
+    graphs.push_back(std::move(graph).value());
   }
   return graphs;
 }

@@ -72,13 +72,15 @@ class GraphBuilder {
     std::string_view target;
   };
 
-  /// Builds the graphs of one structure group, in request order, using
-  /// `pool` to construct them concurrently. Guaranteed bit-identical to
-  /// calling Build in a loop — including the ids the shared interner
-  /// assigns: each graph is built against a thread-private interner and
-  /// the shard interners are then folded into the shared one in request
-  /// order, which reproduces the serial first-sight order exactly. With a
-  /// null or single-threaded pool this *is* the serial loop.
+  /// Builds the graphs of one structure group: Build in a loop, in request
+  /// order, so the shared interner assigns ids in first-sight order. The
+  /// graphs of one group are always built serially. Most structure groups
+  /// hold a handful of graphs, and a parallel build had to re-intern every
+  /// label into the shared interner to keep those ids, which cost more
+  /// than building serially; threads pay across groups instead
+  /// (GroupingEngine::RefineBatch, GroupAllUpfront). The pool argument is
+  /// ignored; it stays until a benchmark change stops perfbench/traced.cc
+  /// from passing one.
   Result<std::vector<TransformationGraph>> BuildBatch(
       const std::vector<BuildRequest>& requests, ThreadPool* pool) const;
 

@@ -7,11 +7,18 @@
 namespace ustl {
 
 void CorpusFrequency::Add(std::string_view s) {
-  for (const Token& token : ClassTokens(s)) ++freq_[token.text];
+  for (Token& token : ClassTokens(s)) {
+    auto it = freq_.find(token.text);
+    if (it == freq_.end()) {
+      tokens_.push_back(std::move(token.text));
+      it = freq_.emplace(tokens_.back(), 0).first;
+    }
+    ++it->second;
+  }
 }
 
 int64_t CorpusFrequency::Get(std::string_view token) const {
-  auto it = freq_.find(std::string(token));
+  auto it = freq_.find(token);
   return it == freq_.end() ? 0 : it->second;
 }
 

@@ -6,6 +6,7 @@
 #define USTL_GRAPH_TERM_SCORER_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -17,21 +18,31 @@ namespace ustl {
 class TermScorer {
  public:
   virtual ~TermScorer() = default;
-  /// Higher is better; 0 means "unknown token".
+  /// Higher is better; 0 means "unknown token". Only class tokens may
+  /// score above 0: a string that spans two character classes, or two
+  /// kOther characters, scores 0, and the graph builder never asks
+  /// about one.
   virtual double Score(std::string_view token) const = 0;
 };
 
 /// Token frequencies over a corpus of strings (class tokens = maximal
 /// character-class runs). One instance holds the whole column's counts and
-/// is shared by every structure group's scorer.
+/// is shared by every structure group's scorer. Get looks the viewed token
+/// up without copying it: the counts are keyed by views into token storage
+/// the object owns, so it can be neither copied nor moved.
 class CorpusFrequency {
  public:
+  CorpusFrequency() = default;
+  CorpusFrequency(const CorpusFrequency&) = delete;
+  CorpusFrequency& operator=(const CorpusFrequency&) = delete;
+
   /// Counts the class tokens of one string.
   void Add(std::string_view s);
   int64_t Get(std::string_view token) const;
 
  private:
-  std::unordered_map<std::string, int64_t> freq_;
+  std::deque<std::string> tokens_;  // distinct tokens; never relocated
+  std::unordered_map<std::string_view, int64_t> freq_;  // keys view tokens_
 };
 
 /// freqStruc / sqrt(freqGlobal). Build one per structure group: feed the

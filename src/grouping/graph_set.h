@@ -22,12 +22,11 @@ namespace ustl {
 /// Owns graphs + index + liveness for one grouping run.
 class GraphSet {
  public:
-  /// Builds graphs for all pairs with `builder` and indexes them.
-  /// GraphId i corresponds to pairs[i]. A non-null `pool` constructs the
-  /// graphs concurrently (GraphBuilder::BuildBatch) and builds the
-  /// inverted index in label-range shards (InvertedIndex::Build); the
-  /// result — graphs, interner ids and index — is bit-identical to the
-  /// serial build.
+  /// Builds graphs for all pairs with `builder`, serially and in pair
+  /// order (GraphBuilder::BuildBatch), and indexes them. GraphId i
+  /// corresponds to pairs[i]. A non-null `pool` builds the inverted index
+  /// in label-range shards (InvertedIndex::Build); the index is
+  /// bit-identical to the serial build.
   static Result<GraphSet> Build(const std::vector<StringPair>& pairs,
                                 const GraphBuilder& builder,
                                 ThreadPool* pool = nullptr);

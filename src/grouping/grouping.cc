@@ -111,8 +111,8 @@ std::vector<Group> GroupAllUpfront(const std::vector<StringPair>& pairs,
           graph_options.scorer = scorer.get();
         }
         GraphBuilder builder(graph_options, &interner);
-        // The pool also accelerates graph construction and the sharded
-        // index build inside a partition; nested use from a worker thread
+        // The pool also shards the index build inside a partition (its
+        // graphs are built serially); nested use from a worker thread
         // runs inline (single-shard).
         Result<GraphSet> set = GraphSet::Build(SelectPairs(pairs, indices),
                                                builder, pool.get());
@@ -247,9 +247,9 @@ void GroupingEngine::Preprocess(SubGroup* sub) {
     graph_options.scorer = sub->scorer.get();
   }
   GraphBuilder builder(graph_options, sub->interner.get());
-  // The pool parallelizes graph construction and index sharding within
-  // the group; when this Preprocess itself runs on a pool worker
-  // (RefineBatch), the nested calls degrade to the serial loop.
+  // The group's graphs are built serially; the pool shards its index
+  // build. When this Preprocess itself runs on a pool worker
+  // (RefineBatch), the nested index build runs inline.
   Result<GraphSet> set = GraphSet::Build(
       SelectPairs(pairs_, sub->pair_indices), builder, pool_.get());
   USTL_CHECK(set.ok());

@@ -72,9 +72,11 @@ struct GroupingOptions {
   /// IndexBuildOptions in index/inverted_index.h.
   IndexCodec index_codec = IndexCodec::kRaw;
   BlockPostingsOptions block_postings;
-  /// Worker threads for graph construction, per-structure-group
-  /// preprocessing AND the pivot searches inside one structure group
-  /// (wave scan, see oneshot.h / incremental.h). 0 = hardware
+  /// Worker threads for per-structure-group preprocessing (graph
+  /// construction runs serially inside a group, see
+  /// GraphBuilder::BuildBatch; the index build is sharded) AND the pivot
+  /// searches inside one structure group (wave scan, see oneshot.h /
+  /// incremental.h). 0 = hardware
   /// concurrency, 1 = fully serial (the default). Structure groups are
   /// disjoint (Section 7.2) and the in-group wave scans replay the serial
   /// update rules, so groups returned are bit-identical for any thread

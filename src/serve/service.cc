@@ -189,6 +189,8 @@ void ConsolidationService::RegisterMetrics() {
       "ustl_grouping_searches_total", "Pivot searches run by column jobs");
   grouping_expansions_ = metrics_.RegisterCounter(
       "ustl_grouping_expansions_total", "DFS expansions spent in searches");
+  grouping_joins_ = metrics_.RegisterCounter(
+      "ustl_grouping_joins_total", "Posting-list joins made by searches");
   grouping_cache_hits_ = metrics_.RegisterCounter(
       "ustl_grouping_cache_hits_total",
       "Searches resolved from cross-round result reuse");
@@ -726,6 +728,7 @@ void ConsolidationService::RunJobs() {
       const IncrementalStats& grouping = request->results[column].grouping;
       grouping_searches_->Increment(grouping.searches);
       grouping_expansions_->Increment(grouping.expansions);
+      grouping_joins_->Increment(grouping.joins);
       grouping_cache_hits_->Increment(grouping.cache_hits);
       grouping_warm_hits_->Increment(grouping.warm_hits);
       grouping_speculative_searches_->Increment(grouping.speculative_searches);

@@ -537,6 +537,7 @@ class ConsolidationService {
   /// from its ColumnRunResult (the engines stay registry-free).
   Counter* grouping_searches_ = nullptr;
   Counter* grouping_expansions_ = nullptr;
+  Counter* grouping_joins_ = nullptr;
   Counter* grouping_cache_hits_ = nullptr;
   Counter* grouping_warm_hits_ = nullptr;
   Counter* grouping_speculative_searches_ = nullptr;

@@ -3,6 +3,10 @@
 // (Example B.3 / Figures 3-4), and the label interner.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "dsl/interner.h"
 #include "dsl/position.h"
 #include "dsl/program.h"
@@ -61,7 +65,9 @@ TEST(PosFnTest, FigureThreePositions) {
   EXPECT_EQ(PosFn::MatchPos(tc, -1, Dir::kEnd).Eval(kLeeMary), 7);   // PD
 }
 
-TEST(PosFnTest, KeyInjective) {
+// Distinct positions intern to distinct labels on either side of a
+// SubStr: the interner distinguishes every PosFn field.
+TEST(PosFnTest, InternedIdsInjective) {
   Term tc = Term::Regex(CharClass::kUpper);
   std::vector<PosFn> fns = {
       PosFn::ConstPos(1),
@@ -71,11 +77,30 @@ TEST(PosFnTest, KeyInjective) {
       PosFn::MatchPos(tc, -1, Dir::kBegin),
       PosFn::MatchPos(Term::Constant("x"), 1, Dir::kBegin),
   };
+  LabelInterner interner;
+  std::vector<LabelId> as_left, as_right;
+  for (const PosFn& fn : fns) {
+    as_left.push_back(interner.InternSubStr(fn, PosFn::ConstPos(2)));
+    as_right.push_back(
+        interner.Intern(StringFn::SubStr(PosFn::ConstPos(2), fn)));
+  }
   for (size_t i = 0; i < fns.size(); ++i) {
     for (size_t j = 0; j < fns.size(); ++j) {
-      EXPECT_EQ(fns[i].Key() == fns[j].Key(), i == j);
+      EXPECT_EQ(fns[i] == fns[j], i == j);
+      EXPECT_EQ(as_left[i] == as_left[j], i == j);
+      EXPECT_EQ(as_right[i] == as_right[j], i == j);
     }
   }
+}
+
+// The most negative int counts from the end without being negated, so it
+// is simply out of range.
+TEST(PosFnTest, MostNegativeKEvaluatesToNothing) {
+  constexpr int kMin = std::numeric_limits<int>::min();
+  Term tl = Term::Regex(CharClass::kLower);
+  EXPECT_FALSE(PosFn::ConstPos(kMin).Eval("abc").has_value());
+  EXPECT_FALSE(PosFn::MatchPos(tl, kMin, Dir::kBegin).Eval("abc").has_value());
+  EXPECT_FALSE(PosFn::MatchPos(tl, kMin, Dir::kEnd).Eval("abc").has_value());
 }
 
 // --- String functions (Example B.2, Appendix D). ---
@@ -132,7 +157,7 @@ TEST(StringFnTest, AffixNegativeK) {
   EXPECT_FALSE(f.CanProduce("Lee, Mary", "ee"));  // that's match 1, not -1
 }
 
-TEST(StringFnTest, KeyInjectiveAcrossKinds) {
+TEST(StringFnTest, InternedIdsInjectiveAcrossKinds) {
   Term tl = Term::Regex(CharClass::kLower);
   std::vector<StringFn> fns = {
       StringFn::ConstantStr("a"),
@@ -141,11 +166,28 @@ TEST(StringFnTest, KeyInjectiveAcrossKinds) {
       StringFn::Suffix(tl, 1),
       StringFn::Prefix(tl, 2),
   };
+  LabelInterner interner;
+  std::vector<LabelId> ids;
+  for (const StringFn& fn : fns) ids.push_back(interner.Intern(fn));
   for (size_t i = 0; i < fns.size(); ++i) {
     for (size_t j = 0; j < fns.size(); ++j) {
       EXPECT_EQ(fns[i] == fns[j], i == j);
-      EXPECT_EQ(fns[i].Key() == fns[j].Key(), i == j);
+      EXPECT_EQ(ids[i] == ids[j], i == j);
     }
+  }
+}
+
+TEST(StringFnTest, MostNegativeKProducesNothing) {
+  constexpr int kMin = std::numeric_limits<int>::min();
+  Term tl = Term::Regex(CharClass::kLower);
+  for (const StringFn& fn :
+       {StringFn::SubStr(PosFn::ConstPos(kMin), PosFn::ConstPos(3)),
+        StringFn::SubStr(PosFn::MatchPos(tl, kMin, Dir::kBegin),
+                         PosFn::ConstPos(3)),
+        StringFn::Prefix(tl, kMin), StringFn::Suffix(tl, kMin)}) {
+    SCOPED_TRACE(fn.ToString());
+    EXPECT_TRUE(fn.Eval("abc").empty());
+    EXPECT_FALSE(fn.CanProduce("abc", "a"));
   }
 }
 
@@ -261,6 +303,67 @@ TEST(InternerTest, LookupWithoutInterning) {
   LabelId interned = interner.Intern(StringFn::ConstantStr("a"));
   ASSERT_TRUE(interner.Lookup(StringFn::ConstantStr("a"), &id));
   EXPECT_EQ(id, interned);
+}
+
+// Enough labels to grow the table from 16 slots to 16,384: every
+// SubStr(ConstPos(a), ConstPos(b)) with a, b in +-40, affixes, and
+// constants and constant terms that share long prefixes. Ids are dense in
+// first-sight order, a second pass through any entry point returns them
+// unchanged, and Lookup agrees.
+TEST(InternerTest, GrowthKeepsIdsDenseAndStable) {
+  Term tl = Term::Regex(CharClass::kLower);
+  std::vector<StringFn> fns;
+  for (int a = -40; a <= 40; ++a) {
+    for (int b = -40; b <= 40; ++b) {
+      if (a == 0 || b == 0) continue;
+      fns.push_back(StringFn::SubStr(PosFn::ConstPos(a), PosFn::ConstPos(b)));
+    }
+    if (a == 0) continue;
+    fns.push_back(StringFn::Prefix(tl, a));
+    fns.push_back(StringFn::Suffix(tl, a));
+  }
+  std::string prefix;
+  for (int i = 0; i < 300; ++i) {
+    prefix.push_back(static_cast<char>('a' + i % 26));
+    fns.push_back(StringFn::ConstantStr(prefix));
+    fns.push_back(StringFn::ConstantStr("street " + std::to_string(i)));
+    fns.push_back(StringFn::SubStr(
+        PosFn::MatchPos(Term::Constant(prefix), 1, Dir::kEnd),
+        PosFn::ConstPos(-1)));
+  }
+  ASSERT_GT(fns.size(), 4096u);
+
+  // The builder's construct-free entry points where one applies.
+  auto intern_fast = [](LabelInterner* interner, const StringFn& fn) {
+    switch (fn.kind()) {
+      case StringFn::Kind::kConstantStr:
+        return interner->InternConstant(fn.constant());
+      case StringFn::Kind::kSubStr:
+        return interner->InternSubStr(fn.left(), fn.right());
+      default:
+        return interner->Intern(fn);
+    }
+  };
+  LabelInterner by_fn, by_fields;
+  for (size_t i = 0; i < fns.size(); ++i) {
+    ASSERT_EQ(by_fn.Intern(fns[i]), i);
+    ASSERT_EQ(intern_fast(&by_fields, fns[i]), i);
+  }
+  for (LabelInterner* interner : {&by_fn, &by_fields}) {
+    for (size_t i = 0; i < fns.size(); ++i) {
+      EXPECT_EQ(interner->Intern(fns[i]), i);
+      EXPECT_EQ(intern_fast(interner, fns[i]), i);
+      LabelId id = 0;
+      ASSERT_TRUE(interner->Lookup(fns[i], &id));
+      EXPECT_EQ(id, i);
+      EXPECT_EQ(interner->Get(static_cast<LabelId>(i)), fns[i]);
+    }
+    EXPECT_EQ(interner->size(), fns.size());
+    LabelId id = 0;
+    EXPECT_FALSE(interner->Lookup(StringFn::ConstantStr("absent"), &id));
+    EXPECT_FALSE(interner->Lookup(
+        StringFn::SubStr(PosFn::ConstPos(41), PosFn::ConstPos(1)), &id));
+  }
 }
 
 TEST(InternerTest, PathToString) {

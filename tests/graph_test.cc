@@ -268,6 +268,30 @@ TEST(TermScorerTest, GloballyCommonTokensAreDamped) {
   EXPECT_LT(scorer.Score("a"), scorer.Score("rare"));
 }
 
+// Appendix-E constant pruning needs unaligned edges: a token-aligned
+// constant's extensions all cross a class boundary and score 0.
+// ConstantStr("stree") and ConstantStr("treet") extend to the scoring
+// token "street", so they are dropped; "street" and "main" stay.
+TEST(TermScorerTest, PrunesConstantsInsideAHigherScoringToken) {
+  CorpusFrequency global;
+  FrequencyTermScorer scorer(&global);
+  for (int i = 0; i < 10; ++i) {
+    global.Add("main street");
+    scorer.AddStructureString("main street");
+  }
+  GraphBuilderOptions options;
+  options.token_aligned_labels = false;
+  options.scorer = &scorer;
+  LabelInterner interner;
+  GraphBuilder builder(options, &interner);
+  ASSERT_TRUE(builder.Build("x", "main street").ok());
+  LabelId id = 0;
+  EXPECT_TRUE(interner.Lookup(StringFn::ConstantStr("street"), &id));
+  EXPECT_TRUE(interner.Lookup(StringFn::ConstantStr("main"), &id));
+  EXPECT_FALSE(interner.Lookup(StringFn::ConstantStr("stree"), &id));
+  EXPECT_FALSE(interner.Lookup(StringFn::ConstantStr("treet"), &id));
+}
+
 TEST(CorpusFrequencyTest, CountsClassTokens) {
   CorpusFrequency corpus;
   corpus.Add("9th St");

@@ -110,7 +110,30 @@ INSTANTIATE_TEST_SUITE_P(
                   "bad direction"},
         ErrorCase{"ConstantStr(\"a\") ConstantStr(\"b\")",
                   "missing (+) separator"},
-        ErrorCase{"ConstantStr(\"a\") (+)", "dangling separator"}));
+        ErrorCase{"ConstantStr(\"a\") (+)", "dangling separator"},
+        ErrorCase{"SubStr(ConstPos(4294967297), ConstPos(3))",
+                  "k wraps to 1 as a 32-bit int"},
+        ErrorCase{"SubStr(ConstPos(-2147483648), ConstPos(3))",
+                  "k = INT_MIN has no negation"},
+        ErrorCase{"SubStr(MatchPos(Tl, 2147483648, B), ConstPos(3))",
+                  "k = INT_MAX + 1"},
+        ErrorCase{"Prefix(Tl, -99999999999999999999999)",
+                  "k beyond 64 bits"}));
+
+// The accepted integer range is symmetric, [-INT_MAX, INT_MAX]; an
+// out-of-range k is a typed error, never a wrapped value.
+TEST(ParserTest, IntegerRangeIsChecked) {
+  ExpectRoundTrip(Program({StringFn::SubStr(PosFn::ConstPos(2147483647),
+                                            PosFn::ConstPos(-2147483647))}));
+  ExpectRoundTrip(
+      Program({StringFn::Suffix(Term::Regex(CharClass::kDigit), -2147483647)}));
+  Result<Program> parsed =
+      ParseProgram("SubStr(ConstPos(1), ConstPos(-2147483648))");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("out of range"), std::string::npos)
+      << parsed.status().ToString();
+}
 
 // Random program fuzzing: build arbitrary valid programs out of the whole
 // function space and require the round trip to be the identity.

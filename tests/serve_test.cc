@@ -167,6 +167,26 @@ TEST(ConsolidationServiceTest, WarmSearchCacheSkipsRepeatedSearches) {
   EXPECT_GT(stats.search_cache.entries_served, 0u);
 }
 
+TEST(ConsolidationServiceTest, JoinsCounterSumsColumnJoins) {
+  ServiceOptions options;
+  options.framework = TestFramework();
+  ApproveAllOracle oracle;
+  ConsolidationService service(&oracle, options);
+
+  uint64_t joins = 0;
+  for (const char* tag : {"Oak", "Ash"}) {
+    Table table = MakeTable(tag, 2, 6);
+    RequestResult result = service.Wait(service.Submit(&table));
+    for (const ColumnRunResult& column : result.per_column) {
+      joins += column.grouping.joins;
+    }
+  }
+  EXPECT_GT(joins, 0u);
+  EXPECT_NE(service.metrics().WriteText().find(
+                "\nustl_grouping_joins_total " + std::to_string(joins) + "\n"),
+            std::string::npos);
+}
+
 TEST(ConsolidationServiceTest, StreamsOrderedEventsPerRequest) {
   Table table = MakeTable("Birch", 2, 5);
   ServiceOptions options;

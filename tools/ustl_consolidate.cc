@@ -62,8 +62,8 @@ void Usage() {
       "                        [--oracle-cache on|off (default: on)]\n"
       "                        [--search-cache on|off (default: on)]\n"
       "\n"
-      "--threads parallelizes grouping (graph construction, structure-"
-      "group\npreprocessing, and the pivot searches within one structure "
+      "--threads parallelizes grouping (structure-group preprocessing, "
+      "the\nindex build, and the pivot searches within one structure "
       "group);\nresults are identical for any thread count.\n"
       "--column-parallel standardizes all columns concurrently on the "
       "thread\nbudget (pipeline subsystem); output stays byte-identical. "
