@@ -1,18 +1,17 @@
-// Micro-kernels: transformation-graph construction, inverted-index build
-// (serial and sharded), posting-list intersection (seed vs. fused
-// zero-allocation kernel), pivot search, candidate generation, and
-// structure signatures. These are the inner loops behind Figure 9.
+// Micro-kernels: transformation-graph construction, inverted-index build,
+// posting-list intersection (seed vs. fused zero-allocation kernel), pivot
+// search, candidate generation, and structure signatures. These are the
+// inner loops behind Figure 9.
 //
 // Uses Google Benchmark when available (USTL_HAVE_GOOGLE_BENCHMARK); a
 // minimal timer-based fallback harness below covers the subset of the API
 // this file needs, so the binary always builds. Independent of either
 // harness, main() ends with a posting-kernel comparison that prints JSON
-// lines (seed vs. fused Extend, serial vs. sharded Build, allocations per
-// join) for the bench trajectory.
+// lines (seed vs. fused Extend, index build time, allocations per join)
+// for the bench trajectory.
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <thread>
 
 #if defined(USTL_HAVE_GOOGLE_BENCHMARK)
 #include <benchmark/benchmark.h>
@@ -115,7 +114,6 @@ inline void RunAllRegistered() {
 #endif  // USTL_HAVE_GOOGLE_BENCHMARK
 
 #include "bench_util.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "consolidate/fusion.h"
 #include "datagen/generators.h"
@@ -201,21 +199,6 @@ void BM_IndexBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IndexBuild);
-
-void BM_IndexBuildSharded(benchmark::State& state) {
-  LabelInterner interner;
-  GraphBuilder builder(GraphBuilderOptions{}, &interner);
-  std::vector<TransformationGraph> graphs;
-  for (const StringPair& pair : NamePairs()) {
-    graphs.push_back(std::move(builder.Build(pair.lhs, pair.rhs)).value());
-  }
-  ThreadPool pool(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        InvertedIndex::Build(graphs, &pool, 0, interner.size()));
-  }
-}
-BENCHMARK(BM_IndexBuildSharded);
 
 void BM_PostingExtend(benchmark::State& state) {
   PostingList current, label;
@@ -499,26 +482,14 @@ void RunPostingKernelComparison() {
          fused_per_op > 0 ? seed_per_op / fused_per_op : 0.0,
          static_cast<double>(allocs) / static_cast<double>(ops));
 
-  // Index build: serial vs. sharded over a 4-thread pool.
+  // Index build over the same graph set.
   const auto& graphs = set.graphs();
   const double serial_build = TimePerOp(1, min_seconds, [&] {
     benchmark::DoNotOptimize(InvertedIndex::Build(graphs));
   });
-  ThreadPool pool(4);
-  const double sharded_build = TimePerOp(1, min_seconds, [&] {
-    benchmark::DoNotOptimize(
-        InvertedIndex::Build(graphs, &pool, 0, interner.size()));
-  });
   printf("{\"bench\": \"inverted_index_build\", \"variant\": \"serial\", "
          "\"graphs\": %zu, \"labels\": %zu, \"ms_per_build\": %.3f}\n",
          graphs.size(), ops, serial_build * 1e3);
-  printf("{\"bench\": \"inverted_index_build\", \"variant\": \"sharded\", "
-         "\"graphs\": %zu, \"labels\": %zu, \"shards\": %d, "
-         "\"hardware_threads\": %u, \"ms_per_build\": %.3f, "
-         "\"speedup_vs_serial\": %.2f}\n",
-         graphs.size(), ops, pool.num_threads(),
-         std::thread::hardware_concurrency(), sharded_build * 1e3,
-         sharded_build > 0 ? serial_build / sharded_build : 0.0);
 
   // Extend-heavy pivot search over the same graph set (the DFS is where
   // the fused kernel's savings land end to end).

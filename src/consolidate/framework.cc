@@ -1,6 +1,6 @@
 #include "consolidate/framework.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -103,17 +103,8 @@ ColumnRunResult StandardizeColumnSingle(Column* column,
   ReplacementStore store(*column, options.candidates);
 
   // All "groups" have one member, so size ranking is vacuous; the paper's
-  // Single shows candidates in generation order. Optionally rank by
-  // replacement-set size (a stronger variant).
-  std::vector<size_t> order(store.num_pairs());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (options.single_rank_by_occurrences) {
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return store.occurrences(a).size() > store.occurrences(b).size();
-    });
-  }
-
-  for (size_t index : order) {
+  // Single shows candidates in generation order.
+  for (size_t index = 0; index < store.num_pairs(); ++index) {
     options.cancel.Check();
     if (result.groups_presented >= options.budget_per_column) break;
     if (options.skip_dead_groups && store.occurrences(index).empty()) {

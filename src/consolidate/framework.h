@@ -47,11 +47,6 @@ struct FrameworkOptions {
   /// exists" and is removed from Phi). Typically the mirror of an already
   /// applied group. Does not consume budget.
   bool skip_dead_groups = true;
-  /// Single-baseline presentation order. The paper's Single has no size
-  /// signal (all groups have one member), so candidates are shown in
-  /// generation order; enabling this ranks them by replacement-set size
-  /// instead, a strictly stronger variant than the paper's.
-  bool single_rank_by_occurrences = false;
   /// Called after every presented group with the number of groups
   /// presented so far and the current column state. Lets the benchmark
   /// harnesses measure precision/recall/MCC as a function of the budget
@@ -120,8 +115,9 @@ ColumnRunResult StandardizeColumn(Column* column,
                                   const FrameworkOptions& options);
 
 /// The paper's Single baseline: no grouping — every candidate replacement
-/// is a group by itself, presented in decreasing replacement-set size
-/// (most 'profitable' first) until the budget runs out.
+/// is a group by itself, presented in generation order (the order of
+/// ReplacementStore's pairs; with one member per group there is no size
+/// to rank by) until the budget runs out.
 ColumnRunResult StandardizeColumnSingle(Column* column,
                                         VerificationOracle* oracle,
                                         const FrameworkOptions& options);

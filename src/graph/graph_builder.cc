@@ -194,10 +194,9 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
     for (int j = i + 1; j <= m + 1; ++j) {
       if (!edge_aligned(i, j)) continue;
       std::string_view u = t.substr(i - 1, j - i);
-      if (options_.enable_constants && const_allowed(i, j)) {
+      if (const_allowed(i, j)) {
         graph.AddLabel(i, j, interner_->InternConstant(u));
       }
-      if (!options_.enable_substr) continue;
       int label_budget = options_.max_substr_labels_per_edge;
       const int len = j - i;
       for (int x = 1; x + len <= n + 1 && label_budget > 0; ++x) {

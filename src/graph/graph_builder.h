@@ -22,10 +22,6 @@ namespace ustl {
 struct GraphBuilderOptions {
   /// Adds Prefix/Suffix labels (Appendix D). Figure 10 ablates this.
   bool enable_affix = true;
-  /// Adds SubStr labels; disable only for degenerate constant-only graphs.
-  bool enable_substr = true;
-  /// Adds ConstantStr labels (Definition 2 line 15).
-  bool enable_constants = true;
   /// Static order of position functions (Section 7.4): at each position
   /// keep only the best tier available (regex MatchPos > constant-term
   /// MatchPos > ConstPos).
@@ -78,9 +74,8 @@ class GraphBuilder {
   /// hold a handful of graphs, and a parallel build had to re-intern every
   /// label into the shared interner to keep those ids, which cost more
   /// than building serially; threads pay across groups instead
-  /// (GroupingEngine::RefineBatch, GroupAllUpfront). The pool argument is
-  /// ignored; it stays until a benchmark change stops perfbench/traced.cc
-  /// from passing one.
+  /// (GroupingEngine::RefineBatch). The pool argument is ignored; it stays
+  /// until a benchmark change stops perfbench/traced.cc from passing one.
   Result<std::vector<TransformationGraph>> BuildBatch(
       const std::vector<BuildRequest>& requests, ThreadPool* pool) const;
 

@@ -3,8 +3,7 @@
 namespace ustl {
 
 Result<GraphSet> GraphSet::Build(const std::vector<StringPair>& pairs,
-                                 const GraphBuilder& builder,
-                                 ThreadPool* pool) {
+                                 const GraphBuilder& builder) {
   GraphSet set;
   std::vector<GraphBuilder::BuildRequest> requests;
   requests.reserve(pairs.size());
@@ -16,10 +15,9 @@ Result<GraphSet> GraphSet::Build(const std::vector<StringPair>& pairs,
   if (!graphs.ok()) return graphs.status();
   set.graphs_ = std::move(graphs).value();
   // The interner bounds every label id, so indexing skips its pre-sizing
-  // scan; the pool builds the label-range shards concurrently (the index
-  // is bit-identical to a serial build either way).
+  // scan.
   set.index_ = InvertedIndex::Build(
-      set.graphs_, pool, /*num_shards=*/0,
+      set.graphs_, /*pool=*/nullptr, /*num_shards=*/0,
       builder.interner() != nullptr ? builder.interner()->size() : 0);
   set.alive_.assign(set.graphs_.size(), 1);
   set.interner_ = builder.interner();

@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/status.h"
 #include "graph/graph_builder.h"
 #include "graph/transformation_graph.h"
@@ -23,13 +22,10 @@ namespace ustl {
 class GraphSet {
  public:
   /// Builds graphs for all pairs with `builder`, serially and in pair
-  /// order (GraphBuilder::BuildBatch), and indexes them. GraphId i
-  /// corresponds to pairs[i]. A non-null `pool` builds the inverted index
-  /// in label-range shards (InvertedIndex::Build); the index is
-  /// bit-identical to the serial build.
+  /// order (GraphBuilder::BuildBatch), and indexes them
+  /// (InvertedIndex::Build). GraphId i corresponds to pairs[i].
   static Result<GraphSet> Build(const std::vector<StringPair>& pairs,
-                                const GraphBuilder& builder,
-                                ThreadPool* pool = nullptr);
+                                const GraphBuilder& builder);
 
   const std::vector<TransformationGraph>& graphs() const { return graphs_; }
   /// The interner the graphs were built against (borrowed; must outlive

@@ -85,74 +85,45 @@ std::vector<Group> GroupAllUpfront(const std::vector<StringPair>& pairs,
     }
   }
 
-  std::unique_ptr<ThreadPool> pool;
-  if (ResolveThreadCount(options.num_threads) > 1) {
-    pool = std::make_unique<ThreadPool>(ResolveThreadCount(options.num_threads));
-  }
-
-  // Structure groups are disjoint, so each partition is grouped
-  // independently (its own interner, scorer and graphs) and results are
-  // concatenated in partition order — the same order, stats and groups the
-  // serial loop produces, whatever the thread count.
-  auto partitions = PartitionByStructure(pairs, options.structure_refinement);
-  struct PartitionOutput {
-    std::vector<Group> groups;
-    OneShotStats stats;
-  };
-  std::vector<PartitionOutput> outputs =
-      ParallelMap<PartitionOutput>(pool.get(), partitions.size(), [&](size_t p) {
-        auto& [structure, indices] = partitions[p];
-        PartitionOutput out;
-        LabelInterner interner;
-        std::unique_ptr<FrequencyTermScorer> scorer;
-        GraphBuilderOptions graph_options = options.graph;
-        if (options.use_term_scorer && options.structure_refinement) {
-          scorer = MakeScorer(pairs, indices, &global_corpus);
-          graph_options.scorer = scorer.get();
-        }
-        GraphBuilder builder(graph_options, &interner);
-        // The pool also shards the index build inside a partition (its
-        // graphs are built serially); nested use from a worker thread
-        // runs inline (single-shard).
-        Result<GraphSet> set = GraphSet::Build(SelectPairs(pairs, indices),
-                                               builder, pool.get());
-        USTL_CHECK(set.ok());
-
-        OneShotOptions oneshot;
-        oneshot.early_termination = early_termination;
-        oneshot.max_path_len = options.max_path_len;
-        oneshot.max_expansions = max_expansions;
-        // The pool also wave-parallelizes the pivot searches inside the
-        // partition; when this task itself landed on a pool worker the
-        // nested fan-out degrades to the serial scan, with identical
-        // groups either way.
-        std::vector<ReplacementGroup> local =
-            UnsupervisedGrouping(*set, oneshot, &out.stats, pool.get());
-        for (ReplacementGroup& rg : local) {
-          Group group;
-          group.pivot = std::move(rg.pivot);
-          group.structure = structure;
-          group.program =
-              SerializeProgram(Program::FromPath(group.pivot, interner));
-          group.member_pair_indices.reserve(rg.members.size());
-          for (GraphId g : rg.members) {
-            group.member_pair_indices.push_back(indices[g]);
-          }
-          if (!group.member_pair_indices.empty()) {
-            AnnotateGroup(interner, pairs[group.member_pair_indices[0]],
-                          &group);
-          }
-          out.groups.push_back(std::move(group));
-        }
-        return out;
-      });
-
+  // Structure groups are disjoint, so each partition is grouped on its
+  // own (its own interner, scorer and graphs) and the groups are
+  // concatenated in partition order.
   std::vector<Group> groups;
   OneShotStats search_stats;
-  for (PartitionOutput& out : outputs) {
-    for (Group& group : out.groups) groups.push_back(std::move(group));
-    search_stats.expansions += out.stats.expansions;
-    search_stats.truncated = search_stats.truncated || out.stats.truncated;
+  for (const auto& [structure, indices] :
+       PartitionByStructure(pairs, options.structure_refinement)) {
+    LabelInterner interner;
+    std::unique_ptr<FrequencyTermScorer> scorer;
+    GraphBuilderOptions graph_options = options.graph;
+    if (options.use_term_scorer && options.structure_refinement) {
+      scorer = MakeScorer(pairs, indices, &global_corpus);
+      graph_options.scorer = scorer.get();
+    }
+    GraphBuilder builder(graph_options, &interner);
+    Result<GraphSet> set =
+        GraphSet::Build(SelectPairs(pairs, indices), builder);
+    USTL_CHECK(set.ok());
+
+    OneShotOptions oneshot;
+    oneshot.early_termination = early_termination;
+    oneshot.max_path_len = options.max_path_len;
+    oneshot.max_expansions = max_expansions;
+    for (ReplacementGroup& rg :
+         UnsupervisedGrouping(*set, oneshot, &search_stats)) {
+      Group group;
+      group.pivot = std::move(rg.pivot);
+      group.structure = structure;
+      group.program =
+          SerializeProgram(Program::FromPath(group.pivot, interner));
+      group.member_pair_indices.reserve(rg.members.size());
+      for (GraphId g : rg.members) {
+        group.member_pair_indices.push_back(indices[g]);
+      }
+      if (!group.member_pair_indices.empty()) {
+        AnnotateGroup(interner, pairs[group.member_pair_indices[0]], &group);
+      }
+      groups.push_back(std::move(group));
+    }
   }
 
   std::stable_sort(groups.begin(), groups.end(),
@@ -182,12 +153,10 @@ SearchCacheKey HashSearchContext(const GroupingOptions& options,
   SearchKeyHasher hasher;
   const GraphBuilderOptions& graph = options.graph;
   hasher.U64(static_cast<uint64_t>(graph.enable_affix) |
-             static_cast<uint64_t>(graph.enable_substr) << 1 |
-             static_cast<uint64_t>(graph.enable_constants) << 2 |
-             static_cast<uint64_t>(graph.position_static_order) << 3 |
-             static_cast<uint64_t>(graph.token_aligned_labels) << 4 |
-             static_cast<uint64_t>(options.use_term_scorer) << 5 |
-             static_cast<uint64_t>(options.structure_refinement) << 6);
+             static_cast<uint64_t>(graph.position_static_order) << 1 |
+             static_cast<uint64_t>(graph.token_aligned_labels) << 2 |
+             static_cast<uint64_t>(options.use_term_scorer) << 3 |
+             static_cast<uint64_t>(options.structure_refinement) << 4);
   hasher.U64(static_cast<uint64_t>(graph.max_input_len));
   hasher.U64(static_cast<uint64_t>(graph.max_output_len));
   hasher.U64(static_cast<uint64_t>(graph.max_substr_labels_per_edge));
@@ -247,17 +216,13 @@ void GroupingEngine::Preprocess(SubGroup* sub) {
     graph_options.scorer = sub->scorer.get();
   }
   GraphBuilder builder(graph_options, sub->interner.get());
-  // The group's graphs are built serially; the pool shards its index
-  // build. When this Preprocess itself runs on a pool worker
-  // (RefineBatch), the nested index build runs inline.
-  Result<GraphSet> set = GraphSet::Build(
-      SelectPairs(pairs_, sub->pair_indices), builder, pool_.get());
+  Result<GraphSet> set =
+      GraphSet::Build(SelectPairs(pairs_, sub->pair_indices), builder);
   USTL_CHECK(set.ok());
   IncrementalOptions inc_options;
   inc_options.max_path_len = options_.max_path_len;
   inc_options.max_expansions_per_search = options_.max_expansions_per_search;
   inc_options.sample_size = options_.pivot_sample_size;
-  inc_options.sample_seed = options_.pivot_sample_seed;
   inc_options.reuse_search_results = options_.reuse_search_results;
   // Finite iff the shared budget is; RefineBatch re-issues the remainder
   // before every scan.

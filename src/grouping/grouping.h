@@ -46,10 +46,10 @@ struct GroupingOptions {
   /// IncrementalOptions::max_total_expansions.
   uint64_t max_total_expansions = std::numeric_limits<uint64_t>::max();
   /// Appendix-E sampling: pivot counts taken over a sample of this many
-  /// graphs per structure group when the group is larger. 0 = exact.
-  /// See IncrementalOptions::sample_size.
+  /// graphs per structure group when the group is larger, drawn with
+  /// IncrementalOptions' default sample_seed. 0 = exact. See
+  /// IncrementalOptions::sample_size.
   size_t pivot_sample_size = 0;
-  uint64_t pivot_sample_seed = 0x5eed;
   /// Cross-round pivot-search reuse inside the incremental engines (see
   /// IncrementalOptions::reuse_search_results): a search result stays
   /// exact across consumed groups until one of its members is killed, so
@@ -72,20 +72,19 @@ struct GroupingOptions {
   /// IndexBuildOptions in index/inverted_index.h.
   IndexCodec index_codec = IndexCodec::kRaw;
   BlockPostingsOptions block_postings;
-  /// Worker threads for per-structure-group preprocessing (graph
-  /// construction runs serially inside a group, see
-  /// GraphBuilder::BuildBatch; the index build is sharded) AND the pivot
-  /// searches inside one structure group (wave scan, see oneshot.h /
-  /// incremental.h). 0 = hardware
-  /// concurrency, 1 = fully serial (the default). Structure groups are
-  /// disjoint (Section 7.2) and the in-group wave scans replay the serial
-  /// update rules, so groups returned are bit-identical for any thread
-  /// count. Search *statistics* can differ between num_threads == 1 and
-  /// > 1 (and, for > 1, between runs): concurrent refinement and wave
-  /// speculation spend expansions the lazy serial order avoids, and how
-  /// many depends on scheduling. When max_total_expansions is finite the
-  /// engine stays lazy and serial regardless of this knob — a shared
-  /// budget makes every scan order-dependent.
+  /// GroupingEngine's worker threads: structure groups are preprocessed
+  /// and peeked concurrently (RefineBatch; each group's graphs and index
+  /// are built serially), and the pivot searches inside one structure
+  /// group run in waves (incremental.h). 0 = hardware concurrency, 1 =
+  /// fully serial (the default). Structure groups are disjoint (Section
+  /// 7.2) and the wave scans replay the serial update rules, so groups
+  /// returned are bit-identical for any thread count. Search *statistics*
+  /// can differ between num_threads == 1 and > 1 (and, for > 1, between
+  /// runs): concurrent refinement and wave speculation spend expansions
+  /// the lazy serial order avoids, and how many depends on scheduling.
+  /// When max_total_expansions is finite the engine stays lazy and serial
+  /// regardless of this knob — a shared budget makes every scan
+  /// order-dependent. GroupAllUpfront is serial and ignores it.
   int num_threads = 1;
   /// Cooperative cancellation (common/cancel.h), forwarded into every
   /// structure-group engine's scan loops and checked between refinement
@@ -107,11 +106,11 @@ struct UpfrontStats {
   size_t num_groups = 0;
 };
 
-/// Runs the upfront partitioner over all pairs: builds every graph, indexes
-/// them per structure group, computes every pivot (with or without the
-/// Algorithm-4 early terminations) and returns all groups sorted by size
-/// descending. This is the paper's OneShot (early_termination = false) /
-/// EarlyTerm (true).
+/// Runs the upfront partitioner over all pairs, serially: builds every
+/// graph, indexes them per structure group, computes every pivot (with or
+/// without the Algorithm-4 early terminations) and returns all groups
+/// sorted by size descending. This is the paper's OneShot
+/// (early_termination = false) / EarlyTerm (true).
 std::vector<Group> GroupAllUpfront(const std::vector<StringPair>& pairs,
                                    const GroupingOptions& options,
                                    bool early_termination,

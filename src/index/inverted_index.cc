@@ -2,16 +2,36 @@
 
 #include <algorithm>
 
-#include "common/parallel.h"
 #include "common/status.h"
 
 namespace ustl {
 
 const PostingList InvertedIndex::kEmpty;
 
+namespace {
+
+// Calls visit(label, posting) for every label of every edge, in posting
+// order: graph asc, from asc, to asc.
+template <typename Visit>
+void ForEachLabel(const std::vector<TransformationGraph>& graphs,
+                  Visit&& visit) {
+  for (GraphId g = 0; g < graphs.size(); ++g) {
+    const TransformationGraph& graph = graphs[g];
+    for (int from = 1; from <= graph.num_nodes(); ++from) {
+      for (const GraphEdge& edge : graph.edges_from(from)) {
+        for (LabelId label : edge.labels) {
+          visit(label, Posting(g, from, edge.to));
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 InvertedIndex InvertedIndex::Build(
-    const std::vector<TransformationGraph>& graphs, ThreadPool* pool,
-    size_t num_shards, size_t num_labels_hint, const IndexBuildOptions&) {
+    const std::vector<TransformationGraph>& graphs, ThreadPool*, size_t,
+    size_t num_labels_hint, const IndexBuildOptions&) {
   InvertedIndex index;
   // Field-width guards of the packed layout: graph ids fit 32 bits, node
   // ids 16. One cheap check per graph, kept in release builds because the
@@ -22,87 +42,32 @@ InvertedIndex InvertedIndex::Build(
     USTL_CHECK(graph.num_nodes() <= Posting::kMaxNode);
   }
 
-  // Single pre-sizing pass: lists_ is resized exactly once, so shard
-  // construction never moves the vector-of-vectors. The bound comes from
-  // the interner when the caller knows it, else from one scan over the
-  // graphs (parallel over graphs; reduced in index order).
+  // lists_ is sized once: from the interner when the caller knows it,
+  // else from one scan for the largest label.
   size_t num_labels = num_labels_hint;
   if (num_labels == 0) {
-    std::vector<size_t> bounds =
-        ParallelMap<size_t>(pool, graphs.size(), [&](size_t g) {
-          size_t bound = 0;
-          const TransformationGraph& graph = graphs[g];
-          for (int from = 1; from <= graph.num_nodes(); ++from) {
-            for (const GraphEdge& edge : graph.edges_from(from)) {
-              for (LabelId label : edge.labels) {
-                bound = std::max(bound, static_cast<size_t>(label) + 1);
-              }
-            }
-          }
-          return bound;
-        });
-    for (size_t bound : bounds) num_labels = std::max(num_labels, bound);
+    ForEachLabel(graphs, [&](LabelId label, Posting) {
+      num_labels = std::max(num_labels, static_cast<size_t>(label) + 1);
+    });
   }
   if (num_labels == 0) return index;
+
+  // A count pass sizes every list exactly, so the fill pass never
+  // reallocates.
+  std::vector<size_t> counts(num_labels, 0);
+  ForEachLabel(graphs, [&](LabelId label, Posting) {
+    // A hint below the real maximum would silently drop every posting of
+    // the labels past it; catch that contract break in debug builds.
+    // Release builds skip such a label rather than write past lists_.
+    USTL_DCHECK(static_cast<size_t>(label) < num_labels);
+    if (label < num_labels) ++counts[label];
+  });
   index.lists_.resize(num_labels);
-
-  size_t shards = num_shards;
-  if (shards == 0) {
-    // One shard per pool thread; nested calls (already on a pool worker)
-    // would run the shards serially and only pay the per-shard scan S
-    // times over, so they stay single-shard.
-    shards = pool != nullptr && !pool->InWorkerThread()
-                 ? static_cast<size_t>(pool->num_threads())
-                 : 1;
-    // Every shard walks ALL graphs twice (count + fill) and only filters
-    // by label range, so S shards cost ~S serial scans split over the
-    // pool — a wash at best, and a regression once the task overhead
-    // outweighs the posting writes (0.39x on a 4.8k-label input, see
-    // BENCH_2026-07-31_posting_kernel.json). Small label ranges take the
-    // serial path; explicit num_shards requests are honored as-is (the
-    // bit-identity sweeps in tests rely on that).
-    if (num_labels < kAutoShardMinLabels) shards = 1;
+  for (size_t label = 0; label < num_labels; ++label) {
+    index.lists_[label].reserve(counts[label]);
   }
-  shards = std::max<size_t>(1, std::min(shards, num_labels));
-
-  // Each shard owns the contiguous label range [lo, hi) and fills only
-  // those lists, walking the graphs in the same (graph asc, from asc,
-  // to asc, label asc) order as a serial build would. Shards touch
-  // disjoint lists_ entries, so this is scheduling-only parallelism and
-  // the result is bit-identical for any shard count. A count pass sizes
-  // every list exactly before the fill pass, so lists never reallocate.
-  ParallelFor(pool, shards, [&](size_t s) {
-    const size_t lo = num_labels * s / shards;
-    const size_t hi = num_labels * (s + 1) / shards;
-    std::vector<size_t> counts(hi - lo, 0);
-    for (const TransformationGraph& graph : graphs) {
-      for (int from = 1; from <= graph.num_nodes(); ++from) {
-        for (const GraphEdge& edge : graph.edges_from(from)) {
-          for (LabelId label : edge.labels) {
-            // A hint below the real maximum would silently drop every
-            // posting of the labels past it; catch that contract break in
-            // debug builds.
-            USTL_DCHECK(static_cast<size_t>(label) < num_labels);
-            if (label >= lo && label < hi) ++counts[label - lo];
-          }
-        }
-      }
-    }
-    for (size_t label = lo; label < hi; ++label) {
-      index.lists_[label].reserve(counts[label - lo]);
-    }
-    for (GraphId g = 0; g < graphs.size(); ++g) {
-      const TransformationGraph& graph = graphs[g];
-      for (int from = 1; from <= graph.num_nodes(); ++from) {
-        for (const GraphEdge& edge : graph.edges_from(from)) {
-          for (LabelId label : edge.labels) {
-            if (label >= lo && label < hi) {
-              index.lists_[label].push_back(Posting(g, from, edge.to));
-            }
-          }
-        }
-      }
-    }
+  ForEachLabel(graphs, [&](LabelId label, Posting posting) {
+    if (label < num_labels) index.lists_[label].push_back(posting);
   });
 
   // Canonicalize the layout: trailing empty lists (possible when the hint
@@ -112,9 +77,9 @@ InvertedIndex InvertedIndex::Build(
     index.lists_.pop_back();
   }
 
-  // Iteration order above is (graph asc, from asc, to asc), which is the
-  // posting order; no per-list sort needed. Debug builds assert it — the
-  // scan is O(total postings), so it stays out of release builds.
+  // The fill visits postings in posting order, so no per-list sort is
+  // needed. Debug builds assert it — the scan is O(total postings), so it
+  // stays out of release builds.
   for (const PostingList& list : index.lists_) {
     USTL_DCHECK(std::is_sorted(list.begin(), list.end()));
     (void)list;

@@ -12,10 +12,8 @@
 // order. The hot-path join is ExtendInto: it writes into a caller-owned
 // scratch list (no allocation in the steady state) and fuses the
 // distinct-graph count and a content hash into the merge so callers never
-// re-scan the output. Build shards the posting lists by label range over
-// a ThreadPool; every label's list is filled by exactly one shard in the
-// serial iteration order, so the index is bit-identical for any shard or
-// thread count.
+// re-scan the output. Build is one serial count-and-fill pass over the
+// graphs, in posting order.
 #ifndef USTL_INDEX_INVERTED_INDEX_H_
 #define USTL_INDEX_INVERTED_INDEX_H_
 
@@ -97,12 +95,6 @@ struct ExtendStats {
   uint64_t hash = kPostingHashSeed;
 };
 
-/// Below this label-range size, Build's automatic shard count (num_shards
-/// == 0) stays single-shard: the per-shard full scans dominate the split
-/// posting writes. Tuned against the 4.8k-label address workload, where
-/// auto-sharding ran 0.39x serial speed.
-inline constexpr size_t kAutoShardMinLabels = 1 << 14;
-
 /// Build options of an index: an empty stub. Postings are always stored
 /// as the flat packed arrays above, and these names survive only because
 /// perfbench/traced.cc still copies GroupingOptions::{index_codec,
@@ -118,22 +110,15 @@ struct IndexBuildOptions {
 /// Immutable label -> posting-list map over a set of graphs.
 class InvertedIndex {
  public:
-  /// Indexes every (edge, label) pair of every graph. Graph ids are the
-  /// positions in `graphs`. A non-null `pool` builds label-range shards
-  /// concurrently; the result is bit-identical for every (pool,
-  /// num_shards) combination because each label's list is produced by
-  /// exactly one shard in the serial iteration order. `num_shards` 0
-  /// picks one shard per pool thread, falling back to the serial
-  /// single-shard path when the pool is null or busy (nested call) or
-  /// the label range is below kAutoShardMinLabels — sharding pays one
-  /// full graph scan per shard, which loses on small inputs. An explicit
-  /// num_shards is always honored. `num_labels_hint` (e.g. the interner
+  /// Indexes every (edge, label) pair of every graph, serially. Graph ids
+  /// are the positions in `graphs`. `num_labels_hint` (e.g. the interner
   /// size) skips the pre-sizing scan when the caller already knows an
   /// upper bound on label ids; 0 means "scan for the maximum". The
-  /// IndexBuildOptions stub is ignored.
+  /// ThreadPool, shard count and IndexBuildOptions arguments are ignored;
+  /// they stay until a benchmark change stops perfbench/traced.cc from
+  /// passing them.
   static InvertedIndex Build(const std::vector<TransformationGraph>& graphs,
-                             ThreadPool* pool = nullptr,
-                             size_t num_shards = 0,
+                             ThreadPool* = nullptr, size_t = 0,
                              size_t num_labels_hint = 0,
                              const IndexBuildOptions& = {});
 

@@ -130,8 +130,7 @@ ConsolidationService::ConsolidationService(VerificationOracle* backend,
     profiler_ = std::make_unique<ProfileAccumulator>();
   }
   if (options_.enable_flight_recorder) {
-    recorder_ =
-        std::make_unique<FlightRecorder>(options_.flight_recorder_capacity);
+    recorder_ = std::make_unique<FlightRecorder>();
   }
   if (profiler_ != nullptr || recorder_ != nullptr) {
     service_tee_ = std::make_unique<TeeTraceSink>(

@@ -133,10 +133,10 @@ struct ServiceOptions {
   /// Always-on flight recorder (obs/flight_recorder.h): every request —
   /// traced or not — streams its closed spans into a fixed-size ring, so
   /// a stalled / deadline-exceeded / errored request leaves post-hoc
-  /// trace evidence with zero pre-arming. Per-span cost is one mutex
-  /// acquire + one slot copy (priced by the obs_overhead bench gate).
+  /// trace evidence with zero pre-arming (the ring keeps FlightRecorder's
+  /// default 256 spans). Per-span cost is one mutex acquire + one slot
+  /// copy (priced by the obs_overhead bench gate).
   bool enable_flight_recorder = true;
-  size_t flight_recorder_capacity = 256;
   /// A request active longer than this (milliseconds) is considered
   /// stalled: the next CheckStalls() call fires one flight-recorder dump
   /// for it (latched per request). Also bounds the Shutdown(drain) wait

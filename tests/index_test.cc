@@ -1,12 +1,11 @@
 // Tests for src/index: packed postings, posting lists, the adjacency-join
 // intersection (Section 5.1, Example 5.1) with its fused ExtendInto stats,
-// and the sharded parallel index build.
+// and the index build.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <tuple>
 
-#include "common/parallel.h"
 #include "graph/graph_builder.h"
 #include "grouping/group.h"
 #include "index/inverted_index.h"
@@ -312,7 +311,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExtendDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
 // ---------------------------------------------------------------------
-// Sharded parallel build.
+// Index build.
 
 std::vector<TransformationGraph> RealisticGraphs(LabelInterner* interner) {
   GraphBuilder builder(GraphBuilderOptions{}, interner);
@@ -345,54 +344,32 @@ void ExpectSameIndex(const InvertedIndex& a, const InvertedIndex& b,
   }
 }
 
-TEST(InvertedIndexShardTest, ShardSweepIsByteIdenticalToSerialBuild) {
-  LabelInterner interner;
-  std::vector<TransformationGraph> graphs = RealisticGraphs(&interner);
-  InvertedIndex serial = InvertedIndex::Build(graphs);
-  ASSERT_GT(serial.NumLabels(), 10u);
-  const size_t label_bound = interner.size() + 4;
-
-  ThreadPool pool(4);
-  // Shard counts below, equal to, and far above the pool/label count —
-  // plus explicit serial sharding — must all reproduce the serial index
-  // bit for bit.
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
-                        size_t{16}, size_t{1000}}) {
-    SCOPED_TRACE(shards);
-    ExpectSameIndex(serial, InvertedIndex::Build(graphs, &pool, shards),
-                    label_bound);
-    ExpectSameIndex(serial, InvertedIndex::Build(graphs, nullptr, shards),
-                    label_bound);
-  }
-  // Default shard count (one per pool thread).
-  ExpectSameIndex(serial, InvertedIndex::Build(graphs, &pool), label_bound);
-}
-
-TEST(InvertedIndexShardTest, LabelCountHintMatchesScannedBuild) {
+TEST(InvertedIndexBuildTest, LabelCountHintMatchesScannedBuild) {
   LabelInterner interner;
   std::vector<TransformationGraph> graphs = RealisticGraphs(&interner);
   InvertedIndex scanned = InvertedIndex::Build(graphs);
+  ASSERT_GT(scanned.NumLabels(), 10u);
   const size_t label_bound = interner.size() + 4;
-  ThreadPool pool(3);
-  // Exact hint, generous over-estimate, serial and sharded: identical
-  // layout (trailing empties are trimmed either way).
+  // Exact hint and generous over-estimate: identical layout (trailing
+  // empties are trimmed either way).
   ExpectSameIndex(scanned,
                   InvertedIndex::Build(graphs, nullptr, 0, interner.size()),
                   label_bound);
   ExpectSameIndex(
       scanned,
-      InvertedIndex::Build(graphs, &pool, 0, interner.size() + 1000),
+      InvertedIndex::Build(graphs, nullptr, 0, interner.size() + 1000),
       label_bound);
 }
 
-TEST(InvertedIndexShardTest, EmptyAndLabelFreeInputs) {
+TEST(InvertedIndexBuildTest, EmptyAndLabelFreeInputs) {
   EXPECT_EQ(InvertedIndex::Build({}).NumLabels(), 0u);
-  // A graph with no labels at all: nothing to index, any shard count.
+  // A graph with no labels at all: nothing to index, scanned or hinted.
   std::vector<TransformationGraph> graphs;
   graphs.emplace_back("src", "tgt");
-  ThreadPool pool(2);
-  EXPECT_EQ(InvertedIndex::Build(graphs, &pool, 8).NumLabels(), 0u);
-  EXPECT_EQ(InvertedIndex::Build(graphs, &pool, 8).ListLength(0), 0u);
+  EXPECT_EQ(InvertedIndex::Build(graphs).NumLabels(), 0u);
+  EXPECT_EQ(InvertedIndex::Build(graphs).ListLength(0), 0u);
+  EXPECT_EQ(InvertedIndex::Build(graphs, nullptr, 0, 8).NumLabels(), 0u);
+  EXPECT_EQ(InvertedIndex::Build(graphs, nullptr, 0, 8).MemoryBytes(), 0u);
 }
 
 }  // namespace
