@@ -87,8 +87,9 @@ struct GroupingOptions {
   /// order-dependent. GroupAllUpfront is serial and ignores it.
   int num_threads = 1;
   /// Cooperative cancellation (common/cancel.h), forwarded into every
-  /// structure-group engine's scan loops and checked between refinement
-  /// rounds; inert by default. See IncrementalOptions::cancel.
+  /// structure-group engine's scan loops and pivot searches and checked
+  /// between refinement rounds; inert by default. See
+  /// IncrementalOptions::cancel.
   CancelToken cancel;
   /// Per-request trace (obs/trace.h; null = untraced): each structure
   /// group's preprocessing opens a graph_build span under `trace_parent`

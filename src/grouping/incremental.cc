@@ -16,6 +16,7 @@ PivotSearcher::Options SearcherOptions(const IncrementalOptions& options) {
   out.global_early_term = true;
   out.max_path_len = options.max_path_len;
   out.max_expansions = options.max_expansions_per_search;
+  out.cancel = options.cancel;
   return out;
 }
 

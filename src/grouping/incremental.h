@@ -97,10 +97,12 @@ struct IncrementalOptions {
   SearchResultCache* shared_cache = nullptr;
   SearchCacheKey shared_cache_key;
   /// Cooperative cancellation (common/cancel.h): the scan loop calls
-  /// Check() at its head — on the calling thread and between waves, so a
-  /// tripped token unwinds within one wave of searches. An unwound
-  /// engine is abandoned by its request; nothing partial is published to
-  /// the shared cache (only complete per-graph results ever are).
+  /// Check() at its head, between waves, and the engine's searcher calls
+  /// it inside each search every 4,096 DFS expansions (see
+  /// PivotSearcher::Options::cancel), so a tripped token unwinds within
+  /// a few milliseconds of search. An unwound engine is abandoned by its
+  /// request; nothing partial is published to the shared cache (only
+  /// complete per-graph results ever are).
   CancelToken cancel;
   /// Per-request trace (obs/trace.h; null = untraced): the scan opens
   /// one search_wave span per wave under `trace_parent` carrying the

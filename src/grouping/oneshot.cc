@@ -5,6 +5,24 @@
 #include <utility>
 
 namespace ustl {
+namespace {
+
+// The root->sink ConstantStr(t) label the graph builder gives every graph.
+LabelPath FullWidthConstantPath(const GraphSet& set, GraphId g) {
+  const TransformationGraph& graph = set.graph(g);
+  for (const GraphEdge& edge : graph.edges_from(1)) {
+    if (edge.to != graph.last_node()) continue;
+    for (LabelId label : edge.labels) {
+      if (set.interner()->Get(label).kind() == StringFn::Kind::kConstantStr) {
+        return {label};
+      }
+    }
+  }
+  USTL_CHECK(false && "graph without its full-width ConstantStr edge");
+  return {};
+}
+
+}  // namespace
 
 std::vector<ReplacementGroup> UnsupervisedGrouping(
     const GraphSet& set, const OneShotOptions& options, OneShotStats* stats) {
@@ -28,11 +46,13 @@ std::vector<ReplacementGroup> UnsupervisedGrouping(
       stats->truncated = stats->truncated || pivot.truncated;
     }
     // Every graph contains at least its full-width ConstantStr path, so a
-    // pivot is always found at threshold 0 (unless truncated mid-search,
-    // in which case the best found so far still serves).
-    USTL_CHECK(pivot.found);
-    ReplacementGroup& group = by_pivot[pivot.path];
-    group.pivot = pivot.path;
+    // pivot is always found at threshold 0. A search truncated after its
+    // first leaf still serves its best so far; one truncated before any
+    // leaf falls back to that constant path, which g surely contains.
+    const LabelPath path =
+        pivot.found ? pivot.path : FullWidthConstantPath(set, g);
+    ReplacementGroup& group = by_pivot[path];
+    group.pivot = path;
     group.members.push_back(g);
   }
 

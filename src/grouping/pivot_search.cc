@@ -63,6 +63,8 @@ struct PivotSearcher::DfsState {
     std::vector<Level> levels;  // indexed by depth; sized once in Search
   };
   static constexpr size_t kUnbuilt = std::numeric_limits<size_t>::max();
+  // Far above any path cap, and depth + 1 + kNoPath cannot overflow.
+  static constexpr int kNoPath = std::numeric_limits<int>::max() / 2;
 
   LabelPath current;
   LabelPath best_path;
@@ -75,6 +77,9 @@ struct PivotSearcher::DfsState {
   PostingScratch scratch;
   std::vector<Move> moves;
   std::vector<std::pair<size_t, size_t>> node_moves;  // indexed by node
+  // Fewest edges from a node to the sink (indexed by node), kNoPath when
+  // the sink cannot be reached at all.
+  std::vector<int> dist;
 };
 
 PivotSearcher::PivotSearcher(const GraphSet* set, Options options)
@@ -149,6 +154,11 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
     state->truncated = true;
     return;
   }
+  // Cancellation checkpoint on the first expansion and every 4,096th
+  // after it (about 2 ms of search). An unwound search returns nothing,
+  // and the Glo raises it already made come from real leaves, so they
+  // stay valid bounds.
+  if ((state->expansions & 4095) == 1) options_.cancel.Check();
   const TransformationGraph& graph = set_->graph(g);
   if (node == graph.last_node()) {
     // rho is a transformation path of g (Algorithm 3 lines 2-5).
@@ -167,9 +177,6 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
       state->best_path = state->current;
       state->best_members = state->leaf_members;
     }
-    return;
-  }
-  if (static_cast<int>(state->current.size()) >= options_.max_path_len) {
     return;
   }
 
@@ -222,6 +229,13 @@ void PivotSearcher::Dfs(GraphId g, int node, const PostingList& list,
   for (size_t i = moves_begin; i < moves_end; ++i) {
     // A copy: the recursion appends deeper nodes' moves to state->moves.
     const Move move = state->moves[i];
+    // Dead end at the path cap: no leaf lies within the labels left below
+    // move.to, so its subtree cannot change the best path, the members or
+    // Glo (see the header).
+    if (static_cast<int>(depth) + 1 + state->dist[move.to] >
+        options_.max_path_len) {
+      continue;
+    }
     // Cheap pre-check before the join: the extension's distinct-graph
     // count is at most min(|list| distinct, |I[label]|) — intersections
     // never grow (Section 5.2).
@@ -280,15 +294,28 @@ PivotSearcher::SearchResult PivotSearcher::Search(
   USTL_CHECK(g < set_->size());
   DfsState state;
   state.best_count = threshold;
-  // Size the scratch arena once: depth can reach max_path_len, where Dfs
-  // returns before touching its level, so max_path_len + 1 levels cover
-  // every access and the vector never reallocates mid-recursion (levels
-  // are referenced across recursive calls).
+  // Size the scratch arena once: the cap skip in Dfs lets depth reach
+  // max_path_len only at the sink, where Dfs returns before touching its
+  // level, so max_path_len + 1 levels cover every access and the vector
+  // never reallocates mid-recursion (levels are referenced across
+  // recursive calls).
   state.scratch.levels.resize(
       static_cast<size_t>(std::max(options_.max_path_len, 0)) + 1);
-  state.node_moves.assign(
-      static_cast<size_t>(set_->graph(g).num_nodes()) + 1,
-      {DfsState::kUnbuilt, DfsState::kUnbuilt});
+  const TransformationGraph& graph = set_->graph(g);
+  state.node_moves.assign(static_cast<size_t>(graph.num_nodes()) + 1,
+                          {DfsState::kUnbuilt, DfsState::kUnbuilt});
+  // Edges only go forward and every edge carries a label, so one reverse
+  // pass over the nodes yields each node's fewest moves to the sink. Nodes
+  // without out-edges (mid-token nodes only affix labels reach) keep
+  // kNoPath.
+  state.dist.assign(static_cast<size_t>(graph.num_nodes()) + 1,
+                    DfsState::kNoPath);
+  state.dist[graph.last_node()] = 0;
+  for (int node = graph.last_node() - 1; node >= 1; --node) {
+    for (const GraphEdge& edge : graph.edges_from(node)) {
+      state.dist[node] = std::min(state.dist[node], state.dist[edge.to] + 1);
+    }
+  }
   const uint64_t max_expansions =
       std::min(options_.max_expansions, expansion_budget);
 

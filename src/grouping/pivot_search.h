@@ -16,6 +16,17 @@
 // outgoing edges of a node, those two moves tie, and std::sort orders
 // ties by its input, so dropping first would change which tied move is
 // searched first — and with it the first-found pivot.
+//
+// Dead ends at the path cap: each Search first computes dist[v], the
+// fewest edges from node v of the searched graph to its sink (one reverse
+// pass: edges only go forward). A move at path length depth is skipped,
+// before its bound checks and its join, when depth + 1 + dist[move.to] >
+// max_path_len. The output cannot change: only leaves change the best
+// path, its members and Glo, and a skipped subtree has no leaf within the
+// cap. The sibling-dedup key includes the target node, so a skipped move
+// never decides a dedup for a kept one (a kept move with the same target
+// has the same dist). The root always survives a cap of at least 1: every
+// graph has the full-width ConstantStr edge from root to sink.
 #ifndef USTL_GROUPING_PIVOT_SEARCH_H_
 #define USTL_GROUPING_PIVOT_SEARCH_H_
 
@@ -23,6 +34,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/cancel.h"
 #include "grouping/graph_set.h"
 
 namespace ustl {
@@ -42,7 +54,13 @@ class PivotSearcher {
     int max_path_len = 6;
     /// Safety valve for the vanilla search: stop after this many DFS
     /// expansions and return the best found so far. Unlimited by default.
+    /// Moves that cannot reach the sink within max_path_len are never
+    /// expanded, so they spend none of it.
     uint64_t max_expansions = std::numeric_limits<uint64_t>::max();
+    /// Cooperative cancellation (common/cancel.h): the DFS calls Check()
+    /// on its first expansion and every 4,096th after it, so a tripped
+    /// token unwinds one search via CancelledError. Inert by default.
+    CancelToken cancel;
   };
 
   struct SearchResult {

@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "common/cancel.h"
 #include "dsl/program.h"
 #include "grouping/grouping.h"
 #include "grouping/incremental.h"
@@ -127,10 +128,16 @@ TEST(PivotSearchTest, MaxPathLengthRestrictsSearch) {
   PivotSearcher::Options options;
   options.max_path_len = 1;
   PivotSearcher searcher(&set, options);
-  std::vector<int> lb(set.size(), 1);
-  auto result = searcher.Search(0, 0, &lb);
-  ASSERT_TRUE(result.found);
-  EXPECT_LE(result.path.size(), 1u);
+  for (GraphId g = 0; g < set.size(); ++g) {
+    std::vector<int> lb(set.size(), 1);
+    auto result = searcher.Search(g, 0, &lb);
+    ASSERT_TRUE(result.found) << "graph " << g;
+    EXPECT_EQ(result.path.size(), 1u);
+    // Only the one-label root->sink move can reach the sink within the
+    // cap, so the search expands the root and that leaf, and joins once.
+    EXPECT_EQ(result.expansions, 2u);
+    EXPECT_EQ(result.joins, 1u);
+  }
 }
 
 TEST(PivotSearchTest, ExpansionCapTruncates) {
@@ -143,6 +150,51 @@ TEST(PivotSearchTest, ExpansionCapTruncates) {
   PivotSearcher searcher(&set, options);
   auto result = searcher.Search(0, 0, nullptr);
   EXPECT_TRUE(result.truncated);
+}
+
+TEST(PivotSearchTest, TrippedCancelTokenUnwindsTheSearch) {
+  LabelInterner interner;
+  GraphSet set = BuildSet(Example51Pairs(), &interner);
+  CancelState cancel;
+  cancel.Cancel();
+  PivotSearcher::Options options;
+  options.cancel = CancelToken(&cancel);
+  PivotSearcher searcher(&set, options);
+  std::vector<int> lb(set.size(), 1);
+  EXPECT_THROW(searcher.Search(0, 0, &lb), CancelledError);
+}
+
+TEST(PivotSearchTest, UntrippedCancelTokenChangesNothing) {
+  LabelInterner interner;
+  GraphSet set = BuildSet(
+      {{"Lee, Mary Ann", "M. A. Lee"},
+       {"Smith, James Earl", "J. E. Smith"},
+       {"Doe, John Paul", "J. P. Doe"},
+       {"Lee, Mary Ann Beth", "M. A. B. Lee"},
+       {"Smith, James Earl Roy", "J. E. R. Smith"},
+       {"Doe, John Paul Tom", "J. P. T. Doe"}},
+      &interner);
+  CancelState cancel;
+  PivotSearcher::Options options;
+  options.local_early_term = false;
+  options.global_early_term = false;
+  PivotSearcher plain(&set, options);
+  options.cancel = CancelToken(&cancel);
+  PivotSearcher cancellable(&set, options);
+  uint64_t most_expansions = 0;
+  for (GraphId g = 0; g < set.size(); ++g) {
+    auto expected = plain.Search(g, 0, nullptr);
+    auto actual = cancellable.Search(g, 0, nullptr);
+    ASSERT_TRUE(actual.found) << "graph " << g;
+    EXPECT_EQ(actual.path, expected.path);
+    EXPECT_EQ(actual.members, expected.members);
+    EXPECT_EQ(actual.expansions, expected.expansions);
+    EXPECT_EQ(actual.joins, expected.joins);
+    most_expansions = std::max(most_expansions, actual.expansions);
+  }
+  // Some search runs past the first periodic checkpoint, not just the
+  // one on its first expansion.
+  EXPECT_GT(most_expansions, 4096u);
 }
 
 TEST(PivotSearchTest, DeadGraphsDoNotCount) {
@@ -174,6 +226,31 @@ TEST(OneShotTest, GroupsPartitionTheInput) {
     }
     // Every member's graph contains the pivot path.
     for (GraphId g : group.members) {
+      EXPECT_TRUE(set.graph(g).ContainsPath(group.pivot));
+    }
+  }
+  EXPECT_EQ(seen.size(), set.size());
+}
+
+TEST(OneShotTest, SearchTruncatedBeforeItsFirstLeafStillGroups) {
+  // Two expansions reach no leaf of any Example 5.1 graph, so no search
+  // finds a pivot; each graph falls back to its full-width constant.
+  LabelInterner interner;
+  GraphSet set = BuildSet(Example51Pairs(), &interner);
+  OneShotOptions options;
+  options.early_termination = false;
+  options.max_expansions = 2;
+  OneShotStats stats;
+  auto groups = UnsupervisedGrouping(set, options, &stats);
+  EXPECT_TRUE(stats.truncated);
+  ASSERT_EQ(groups.size(), set.size());
+  std::set<GraphId> seen;
+  for (const auto& group : groups) {
+    ASSERT_EQ(group.pivot.size(), 1u);
+    EXPECT_EQ(interner.Get(group.pivot[0]).kind(),
+              StringFn::Kind::kConstantStr);
+    for (GraphId g : group.members) {
+      EXPECT_TRUE(seen.insert(g).second) << "graph in two groups";
       EXPECT_TRUE(set.graph(g).ContainsPath(group.pivot));
     }
   }

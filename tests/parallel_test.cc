@@ -283,13 +283,13 @@ TEST(ParallelDeterminismTest, SerialWorkCountersArePinned) {
       DrainEngine(pairs, 1, /*search_cache=*/true, &stats);
   EXPECT_EQ(groups.size(), 292u);
   EXPECT_EQ(stats.searches, 341u);
-  EXPECT_EQ(stats.expansions, 34138u);
+  EXPECT_EQ(stats.expansions, 22612u);
 
   GroupingOptions options;
   options.num_threads = 1;
   UpfrontStats upfront;
   GroupAllUpfront(pairs, options, /*early_termination=*/true, &upfront);
-  EXPECT_EQ(upfront.expansions, 52162u);
+  EXPECT_EQ(upfront.expansions, 32575u);
 }
 
 // FNV-1a over a drained group sequence: per group, the pivot's labels
@@ -326,9 +326,10 @@ class WaveJoinsSink : public TraceSink {
 // decides which is searched first. Dropping twin-list labels before that
 // sort instead of after it changes its input, and with it the expansions
 // and the group sequence, on this table (seed 23 above happens not to
-// show it). Groups, searches, expansions and the fingerprint were
-// recorded before the label-class filter existed; joins is the filtered
-// DFS's count, and the search_wave spans must account for all of it.
+// show it). Groups, searches and the fingerprint were recorded before the
+// label-class filter existed; expansions and joins count the DFS that also
+// skips moves which cannot reach the sink within the path cap, and the
+// search_wave spans must account for all of the joins.
 TEST(ParallelDeterminismTest, TiedMoveOrderIsPinned) {
   GeneratedDataset data;
   std::vector<StringPair> pairs = DatasetPairs(&data, /*seed=*/7);
@@ -339,9 +340,9 @@ TEST(ParallelDeterminismTest, TiedMoveOrderIsPinned) {
       DrainEngine(pairs, 1, /*search_cache=*/true, &stats, &trace);
   EXPECT_EQ(groups.size(), 493u);
   EXPECT_EQ(stats.searches, 530u);
-  EXPECT_EQ(stats.expansions, 62181u);
-  EXPECT_EQ(stats.joins, 119582u);
-  EXPECT_EQ(sink.joins, 119582);
+  EXPECT_EQ(stats.expansions, 35970u);
+  EXPECT_EQ(stats.joins, 70240u);
+  EXPECT_EQ(sink.joins, 70240);
   EXPECT_EQ(GroupSequenceFingerprint(groups), 15250879794990503729ull);
 }
 
@@ -368,7 +369,7 @@ TEST(ParallelDeterminismTest, NonExactSerialWorkIsPinned) {
     const std::vector<Group> groups = drain(options, &stats);
     EXPECT_EQ(groups.size(), 292u);
     EXPECT_EQ(stats.searches, 350u);
-    EXPECT_EQ(stats.expansions, 12989u);
+    EXPECT_EQ(stats.expansions, 10887u);
     EXPECT_TRUE(stats.truncated);
     EXPECT_EQ(GroupSequenceFingerprint(groups), 10251136328232780714ull);
   }
@@ -379,7 +380,7 @@ TEST(ParallelDeterminismTest, NonExactSerialWorkIsPinned) {
     const std::vector<Group> groups = drain(options, &stats);
     EXPECT_EQ(groups.size(), 291u);
     EXPECT_EQ(stats.searches, 348u);
-    EXPECT_EQ(stats.expansions, 23768u);
+    EXPECT_EQ(stats.expansions, 16964u);
     EXPECT_EQ(GroupSequenceFingerprint(groups), 7982453118952110185ull);
   }
 }
@@ -397,7 +398,7 @@ TEST(ParallelDeterminismTest, GroupAllUpfrontIsIdenticalAcrossThreadCounts) {
     options.num_threads = threads;
     UpfrontStats stats;
     runs.push_back(GroupAllUpfront(pairs, options, true, &stats));
-    EXPECT_EQ(stats.expansions, 52162u);
+    EXPECT_EQ(stats.expansions, 32575u);
   }
   ASSERT_GT(runs[0].size(), 5u);
   ExpectSameGroups(runs[0], runs[1]);

@@ -208,6 +208,63 @@ TEST_P(PivotSearchPropertyTest, PivotMembersAllContainThePath) {
   }
 }
 
+// Brute force for the cap-bounded maximum: walks every label path of
+// `graph` from `node` to its sink with at most `labels_left` more labels
+// and keeps the largest number of alive graphs containing one.
+void BestCountWithin(const GraphSet& set, const TransformationGraph& graph,
+                     int node, int labels_left, LabelPath* path, int* best) {
+  if (node == graph.last_node()) {
+    int count = 0;
+    for (GraphId h = 0; h < set.size(); ++h) {
+      if (set.alive(h) && set.graph(h).ContainsPath(*path)) ++count;
+    }
+    *best = std::max(*best, count);
+    return;
+  }
+  if (labels_left == 0) return;
+  for (const GraphEdge& edge : graph.edges_from(node)) {
+    for (LabelId label : edge.labels) {
+      path->push_back(label);
+      BestCountWithin(set, graph, edge.to, labels_left - 1, path, best);
+      path->pop_back();
+    }
+  }
+}
+
+// Skipping moves that cannot reach the sink within the path cap must not
+// change the answer: the count is the exact maximum over every path of
+// at most max_path_len labels.
+TEST_P(PivotSearchPropertyTest, CountIsTheMaximumWithinThePathCap) {
+  Rng rng(GetParam());
+  std::vector<StringPair> pairs;
+  std::set<StringPair> seen;
+  for (int i = 0; i < 16; ++i) {
+    StringPair pair = RandomPair(&rng);
+    if (pair.lhs != pair.rhs && seen.insert(pair).second) {
+      pairs.push_back(pair);
+    }
+  }
+  LabelInterner interner;
+  GraphBuilder builder(GraphBuilderOptions{}, &interner);
+  GraphSet set = std::move(GraphSet::Build(pairs, builder)).value();
+  for (int cap : {1, 2, 3}) {
+    SCOPED_TRACE(cap);
+    PivotSearcher::Options options;
+    options.max_path_len = cap;
+    PivotSearcher searcher(&set, options);
+    std::vector<int> lower_bounds(set.size(), 1);
+    for (GraphId g = 0; g < set.size(); ++g) {
+      auto result = searcher.Search(g, 0, &lower_bounds);
+      ASSERT_TRUE(result.found) << "graph " << g;
+      EXPECT_LE(result.path.size(), static_cast<size_t>(cap));
+      LabelPath path;
+      int best = 0;
+      BestCountWithin(set, set.graph(g), 1, cap, &path, &best);
+      EXPECT_EQ(result.count, best) << "graph " << g;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PivotSearchPropertyTest,
                          ::testing::Values(101, 202, 303, 404));
 

@@ -15,18 +15,20 @@
 #   persist        WAL + snapshot recovery, kill-tested
 #   drain          SIGTERM graceful drain
 #   bench          perf-regression gate over the BENCH_* trajectory
+#   perfbench      end-to-end benchmark build + output and work checks
 #   tsan           parallel subsystems under ThreadSanitizer
 #   asan           every test under AddressSanitizer + UBSan
 #   debug          Debug build + ctest (USTL_DCHECK scans enabled)
 #
-# Every leg but tsan, asan and debug runs the binaries in build/, configuring
-# and building it first (default Release: -O2, NDEBUG). The bench leg
-# only means something on that Release build.
+# Every leg but perfbench, tsan, asan and debug runs the binaries in build/,
+# configuring and building it first (default Release: -O2, NDEBUG). The
+# bench leg only means something on that Release build. The perfbench leg
+# builds its own Release tree in .bench_build/.
 set -eu
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 LEGS="tier1 columns wave serve faults observability profiling persist"
-LEGS="$LEGS drain bench tsan asan debug"
+LEGS="$LEGS drain bench perfbench tsan asan debug"
 
 BUILT=0
 build() {
@@ -290,6 +292,18 @@ leg_bench() {
   ./build/bench_micro_kernels > build/bench_fresh.json
   ./build/bench_robustness_serve >> build/bench_fresh.json
   python3 tools/check_bench.py --fresh build/bench_fresh.json
+}
+
+# The end-to-end benchmark still builds and still produces correct,
+# repeatable work: run.py builds src/ plus perfbench/ into .bench_build/,
+# fingerprints every request's output against the serial reference and
+# fails unless the exact work counters repeat in every pass. The
+# benchmark calls library APIs directly (GraphBuilder::BuildBatch,
+# InvertedIndex::Build), so this is the leg that notices when a library
+# change breaks it.
+leg_perfbench() {
+  python3 perfbench/run.py --workload paper3_serial --seed 7 --seconds 1 \
+    --trace 1
 }
 
 # The wave scans, the thread pool, the service, the retry/cancel
