@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <system_error>
 
 namespace ustl {
 
@@ -107,6 +109,14 @@ std::string EscapeForDisplay(std::string_view s) {
     }
   }
   return out;
+}
+
+std::optional<uint64_t> ParseUnsigned(std::string_view s) {
+  uint64_t value = 0;
+  const char* end = s.data() + s.size();
+  const std::from_chars_result parsed = std::from_chars(s.data(), end, value);
+  if (parsed.ec != std::errc() || parsed.ptr != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace ustl

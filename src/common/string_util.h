@@ -4,6 +4,8 @@
 #ifndef USTL_COMMON_STRING_UTIL_H_
 #define USTL_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +41,11 @@ std::string NormalizeWhitespace(std::string_view s);
 
 /// Escapes a string for display in reports: control chars become \xNN.
 std::string EscapeForDisplay(std::string_view s);
+
+/// Parses a whole string of ASCII decimal digits as an unsigned integer.
+/// Empty strings, signs, whitespace, trailing junk and values past
+/// UINT64_MAX yield nullopt, unlike strtoull's silent 0 or wraparound.
+std::optional<uint64_t> ParseUnsigned(std::string_view s);
 
 }  // namespace ustl
 

@@ -49,9 +49,9 @@ struct QuestionContext {
   /// share a name, independent of scheduling.
   size_t presented = 0;
   /// Cancellation token of the asking request (common/cancel.h; inert by
-  /// default). Brokers use it to unwind a cancelled waiter from their
-  /// queue in bounded time; it never influences a verdict — verdicts stay
-  /// pure functions of the pair list.
+  /// default). Brokers use it to unwind a cancelled waiter in bounded
+  /// time; it never influences a verdict — verdicts stay pure functions
+  /// of the pair list.
   CancelToken cancel;
   /// Serving-layer request id (0 = none): lets decorators attribute
   /// retry/breaker observability events to the asking request.
@@ -66,8 +66,8 @@ struct QuestionContext {
 };
 
 /// Interface the framework consults once per presented group. Callers
-/// serialize invocations (the column-parallel pipeline funnels all
-/// questions through one combiner thread at a time), so implementations
+/// never invoke it concurrently (the column-parallel pipeline's broker
+/// lets one asking thread at a time call its backend), so implementations
 /// need not be thread-safe.
 class VerificationOracle {
  public:

@@ -159,6 +159,10 @@ Result<ClusteredCsv> ReadClusteredCsv(std::string_view content,
   std::vector<std::string> column_names;
   for (size_t i = 0; i < header.size(); ++i) {
     if (header[i] == cluster_column) {
+      if (key_index != header.size()) {
+        return Status::InvalidArgument("the header names column '" +
+                                       cluster_column + "' more than once");
+      }
       key_index = i;
     } else {
       column_names.push_back(header[i]);

@@ -2,7 +2,7 @@
 // one TraceContext down through the service, the column pipeline, the
 // grouping engines and the oracle broker; each layer opens ScopedSpans
 // (admission wait → column standardize → graph build → search waves →
-// oracle batches → apply/fuse) that record service-relative monotonic
+// oracle calls → apply/fuse) that record service-relative monotonic
 // timestamps and land in a TraceSink as they close.
 //
 // Design constraints, in order:
@@ -20,10 +20,9 @@
 //     consumers must buffer before ordering; tools/check_trace.py
 //     validates id ordering, interval containment and request closure.
 //
-// Spans cross threads: a column job opens a span on a worker thread, and
-// the broker's combiner emits oracle_call spans for *other* requests
-// while holding their contexts. Both the span-id counter and the sink
-// must therefore be thread-safe; JsonLinesTraceSink serializes writes
+// Spans cross threads: a request's column jobs open spans concurrently on
+// different worker threads. Both the span-id counter and the sink must
+// therefore be thread-safe; JsonLinesTraceSink serializes writes
 // with a mutex (tracing is off on hot paths by default, so this lock is
 // never contended in production-shaped runs).
 #ifndef USTL_OBS_TRACE_H_
@@ -65,7 +64,7 @@ struct TraceSpan {
 };
 
 /// Receives closed spans. Implementations must be thread-safe: spans
-/// arrive concurrently from worker threads and from the broker combiner.
+/// arrive concurrently from worker threads.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

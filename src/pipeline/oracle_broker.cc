@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <tuple>
 
 #include "dsl/parser.h"
@@ -53,168 +54,65 @@ Verdict OracleBroker::Verify(const std::vector<StringPair>& group_pairs) {
 Verdict OracleBroker::VerifyWithContext(
     const std::vector<StringPair>& group_pairs,
     const QuestionContext& context) {
-  Request request;
-  if (options_.cache_verdicts) {
-    request.key = CacheKey(context.program, group_pairs);
-  }
-  request.pairs = &group_pairs;
-  // The context's string_views stay valid: the requesting thread blocks
-  // until its request is served, keeping the viewed strings alive.
-  request.context = context;
+  SearchCacheKey key;
+  if (options_.cache_verdicts) key = CacheKey(context.program, group_pairs);
 
   std::unique_lock<std::mutex> lock(mutex_);
-  // Pre-enqueue checkpoint: a cancelled request never joins the queue, so
-  // it cannot occupy a combiner slot or stall behind a batch.
+  // Entry checkpoint: a cancelled request never waits for the turn.
   context.cancel.Check();
   ++stats_.questions;
-  if (options_.cache_verdicts) {
-    if (const Verdict* verdict = CacheFind(request.key)) {
-      ++stats_.cache_hits;
-      TraceCacheHit(context);
-      RecordVerdict(context, group_pairs, *verdict);
-      return *verdict;
-    }
-  }
-  queue_.push_back(&request);
-  if (draining_) {
-    // Another thread is combining; it will answer us (possibly from a
-    // same-key twin it serves first). A cancelled waiter unwinds in
-    // bounded time: while still queued it removes itself and throws; once
-    // the combiner owns it (moved into a batch) it must wait out the
-    // batch — the combiner skips the backend call for it.
-    while (!request.done) {
-      if (!context.cancel.cancellable()) {
-        done_cv_.wait(lock, [&] { return request.done; });
-        break;
-      }
-      done_cv_.wait_for(lock, std::chrono::milliseconds(10),
-                        [&] { return request.done; });
-      if (request.done) break;
-      if (context.cancel.Poll() != RequestStatus::kOk) {
-        auto it = std::find(queue_.begin(), queue_.end(), &request);
-        if (it != queue_.end()) {
-          queue_.erase(it);
-          context.cancel.Check();  // throws; request is no longer reachable
-        }
+  // Wait until no backend call is in flight. Every pass re-reads the
+  // cache, so a same-key twin answered while we waited serves us too. A
+  // cancellable waiter wakes every 10 ms and unwinds once its token trips,
+  // without ever reaching the backend.
+  while (true) {
+    if (options_.cache_verdicts) {
+      if (const Verdict* verdict = CacheFind(key)) {
+        ++stats_.cache_hits;
+        TraceCacheHit(context);
+        RecordVerdict(context, group_pairs, *verdict);
+        return *verdict;
       }
     }
-    if (request.error) std::rethrow_exception(request.error);
-    return request.verdict;
+    if (!calling_) break;
+    ++waiting_;
+    if (context.cancel.cancellable()) {
+      turn_cv_.wait_for(lock, std::chrono::milliseconds(10));
+    } else {
+      turn_cv_.wait(lock);
+    }
+    --waiting_;
+    context.cancel.Check();
   }
 
-  // Become the combiner: drain everything that queues up — including
-  // questions other columns enqueue while the backend is answering ours —
-  // before handing the role back.
-  draining_ = true;
-  std::vector<Request*> batch;
+  // Our turn: call the backend on this thread with the lock dropped, so
+  // other askers can still hit the cache or queue for the next turn.
+  ScopedSpan call_span(context.trace, context.trace_parent, "oracle_call",
+                       std::string(context.column));
+  call_span.AddAttr("presented", static_cast<int64_t>(context.presented));
+  calling_ = true;
+  lock.unlock();
+  Verdict verdict;
+  std::exception_ptr backend_error;
   try {
-    while (!queue_.empty()) {
-      batch.clear();
-      batch.swap(queue_);
-      ++stats_.batches;
-      stats_.max_batch = std::max(stats_.max_batch, batch.size());
-      // One span per combined batch, attributed to the combiner's own
-      // request (the batch may serve questions of several requests; each
-      // backend call below gets its own span on the asking request).
-      ScopedSpan batch_span(request.context.trace, request.context.trace_parent,
-                            "oracle_batch");
-      batch_span.AddAttr("size", static_cast<int64_t>(batch.size()));
-      for (size_t next = 0; next < batch.size(); ++next) {
-        Request* pending = batch[next];
-        bool served = false;
-        if (options_.cache_verdicts) {
-          // A same-key twin may have been served first.
-          if (const Verdict* verdict = CacheFind(pending->key)) {
-            pending->verdict = *verdict;
-            ++stats_.cache_hits;
-            TraceCacheHit(pending->context);
-            served = true;
-          }
-        }
-        if (!served &&
-            pending->context.cancel.Poll() != RequestStatus::kOk) {
-          // The asking request was cancelled while queued: fail only it,
-          // skip the backend call. No cache or log entry is written, so
-          // nothing partial outlives the request.
-          pending->error = std::make_exception_ptr(
-              CancelledError(pending->context.cancel.Poll()));
-          pending->done = true;
-          done_cv_.notify_all();
-          continue;
-        }
-        if (!served) {
-          // Drop the lock while the backend thinks so that other columns
-          // can keep enqueueing (that is what forms the next batch). The
-          // backend itself is still only ever called from the combiner.
-          // The call span lands on the ASKING request's trace even though
-          // it runs on the combiner's thread — the asking thread is
-          // blocked inside its still-open column span, so containment
-          // holds; TraceContext is thread-safe by design.
-          ScopedSpan call_span(pending->context.trace,
-                               pending->context.trace_parent, "oracle_call",
-                               std::string(pending->context.column));
-          call_span.AddAttr(
-              "presented", static_cast<int64_t>(pending->context.presented));
-          lock.unlock();
-          Verdict verdict;
-          std::exception_ptr backend_error;
-          try {
-            verdict =
-                backend_->VerifyWithContext(*pending->pairs, pending->context);
-          } catch (...) {
-            backend_error = std::current_exception();
-          }
-          lock.lock();
-          call_span.End();
-          if (backend_error != nullptr) {
-            // A backend failure (retries exhausted, breaker open,
-            // cancellation thrown mid-call) fails only the asking
-            // request: no cache or log entry is written for it — the
-            // verdict cache and approved log never hold partial state
-            // from a failed question — and the combiner keeps draining,
-            // so the other waiters and the service itself live on.
-            pending->error = backend_error;
-            pending->done = true;
-            done_cv_.notify_all();
-            continue;
-          }
-          ++stats_.backend_calls;
-          if (options_.cache_verdicts) CacheInsert(pending->key, verdict);
-          pending->verdict = verdict;
-        }
-        RecordVerdict(pending->context, *pending->pairs, pending->verdict);
-        pending->done = true;
-        // Wake waiters per answer, not per batch: a column whose question
-        // was served first should not stall behind the batch tail.
-        done_cv_.notify_all();
-      }
-    }
+    verdict = backend_->VerifyWithContext(group_pairs, context);
   } catch (...) {
-    // Safety net for a non-backend failure while holding the drain role
-    // (e.g. an allocation failure in CacheInsert): hand the exception to
-    // every unserved request — currently waiting threads rethrow it, so
-    // the failure surfaces instead of hanging them — and give the role
-    // back.
-    std::exception_ptr error = std::current_exception();
-    for (Request* pending : batch) {
-      if (pending->done) continue;
-      pending->error = error;
-      pending->done = true;
-    }
-    for (Request* pending : queue_) {
-      pending->error = error;
-      pending->done = true;
-    }
-    queue_.clear();
-    draining_ = false;
-    done_cv_.notify_all();
-    throw;
+    backend_error = std::current_exception();
   }
-  draining_ = false;
-  // The combiner's own request can be failed by its drain loop (a
-  // deadline tripping between the entry checkpoint and the first batch).
-  if (request.error) std::rethrow_exception(request.error);
-  return request.verdict;
+  call_span.End();
+  lock.lock();
+  // Hand the turn on before any cache or log write, so a throwing insert
+  // cannot strand it.
+  calling_ = false;
+  turn_cv_.notify_all();
+  // A backend failure (retries exhausted, breaker open, cancellation
+  // thrown mid-call) fails only this asker and writes no cache or log
+  // entry: neither ever holds partial state from a failed question.
+  if (backend_error != nullptr) std::rethrow_exception(backend_error);
+  ++stats_.backend_calls;
+  if (options_.cache_verdicts) CacheInsert(key, verdict);
+  RecordVerdict(context, group_pairs, verdict);
+  return verdict;
 }
 
 const Verdict* OracleBroker::CacheFind(const SearchCacheKey& key) {
@@ -331,7 +229,7 @@ OracleDurableState OracleBroker::ExportDurableState() const {
 OracleBrokerStats OracleBroker::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   OracleBrokerStats out = stats_;
-  out.pending = queue_.size();
+  out.pending = waiting_;
   return out;
 }
 

@@ -8,11 +8,10 @@
 //     the pair list; no per-question key string is materialized) — so a
 //     group that shows up in several columns (or again after a replay)
 //     costs one oracle call;
-//   * batches: questions arriving while another thread is talking to the
-//     oracle queue up and are drained by that thread in one combining
-//     sweep (flat combining), so the backend sees bursts of cross-column
-//     questions instead of interleaved single calls and is never invoked
-//     concurrently;
+//   * takes turns: an asker that misses the cache waits until no backend
+//     call is in flight, then calls the backend itself, on its own thread.
+//     The backend is never invoked concurrently, and each call (with its
+//     oracle_call span and CPU) stays on the request that asked it;
 //   * logs: every approved verdict with a parseable pivot program is
 //     recorded as an ApprovedTransformation. The log is deduplicated and
 //     grouped by column (keeping each column's presentation order), so it
@@ -21,14 +20,13 @@
 //
 // Correctness under reordering relies on the oracle order-independence
 // contract (consolidate/oracle.h): a cached verdict equals the verdict a
-// fresh call would return, so caching and batching change only *how many*
-// questions the backend sees, never a single output byte.
+// fresh call would return, so caching and turn order change only *how
+// many* questions the backend sees, never a single output byte.
 #ifndef USTL_PIPELINE_ORACLE_BROKER_H_
 #define USTL_PIPELINE_ORACLE_BROKER_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <list>
 #include <map>
 #include <mutex>
@@ -45,20 +43,17 @@ namespace ustl {
 
 /// Counters for the bench harnesses and the CLI summary. `questions` is
 /// what the framework asked, `backend_calls` what the human actually
-/// answered; the gap is `cache_hits`. A batch is one combining sweep; in a
-/// serial run every batch has size 1.
+/// answered; the gap is `cache_hits`.
 struct OracleBrokerStats {
   size_t questions = 0;
   size_t backend_calls = 0;
   size_t cache_hits = 0;
-  size_t batches = 0;
-  size_t max_batch = 0;
   /// Verdicts dropped by the LRU bound (Options::max_cache_entries). An
   /// evicted question re-asks the backend on its next appearance; the
   /// order-independence contract keeps the re-asked verdict identical.
   size_t evictions = 0;
-  /// Questions parked in the combining queue at the stats() snapshot —
-  /// an instantaneous depth, not a counter. Nonzero in a flight-recorder
+  /// Askers waiting for the backend turn at the stats() snapshot — an
+  /// instantaneous depth, not a counter. Nonzero in a flight-recorder
   /// dump means requests were blocked on the oracle when it fired.
   size_t pending = 0;
 };
@@ -110,7 +105,7 @@ class OracleBroker : public VerificationOracle {
  public:
   struct Options {
     /// Cache verdicts by question content. Off = every question reaches
-    /// the backend (the broker still batches and still builds the log).
+    /// the backend (the broker still takes turns and builds the log).
     bool cache_verdicts = true;
     /// Upper bound on cached verdicts; least-recently-used entries are
     /// evicted past it (stats().evictions counts them). 0 = unbounded —
@@ -121,8 +116,8 @@ class OracleBroker : public VerificationOracle {
     size_t max_cache_entries = 0;
   };
 
-  /// `backend` must outlive the broker. The broker serializes all calls
-  /// into it, so the backend need not be thread-safe.
+  /// `backend` must outlive the broker. The broker never calls it
+  /// concurrently, so the backend need not be thread-safe.
   explicit OracleBroker(VerificationOracle* backend);
   OracleBroker(VerificationOracle* backend, Options options);
 
@@ -168,19 +163,6 @@ class OracleBroker : public VerificationOracle {
   OracleDurableState ExportDurableState() const;
 
  private:
-  struct Request {
-    SearchCacheKey key;
-    const std::vector<StringPair>* pairs = nullptr;
-    QuestionContext context;
-    Verdict verdict;
-    bool done = false;
-    /// Set when this request failed instead of being answered: its own
-    /// backend call threw (only the asking request fails — the combiner
-    /// keeps draining the rest), it was cancelled while batched, or a
-    /// non-backend combiner failure poisoned the whole batch. The
-    /// waiting thread rethrows it; no cache or log entry exists for it.
-    std::exception_ptr error;
-  };
   /// Log key: one entry per distinct approved (column, program,
   /// direction) — replay.h semantics, where the column *name* scopes a
   /// transformation.
@@ -208,12 +190,15 @@ class OracleBroker : public VerificationOracle {
   VerificationOracle* backend_;
   Options options_;
   mutable std::mutex mutex_;
-  std::condition_variable done_cv_;
+  /// The turn: calling_ is true while one asker is inside the backend
+  /// call; waiting_ askers (stats().pending) block on turn_cv_ until it
+  /// clears.
+  bool calling_ = false;
+  size_t waiting_ = 0;
+  std::condition_variable turn_cv_;
   std::unordered_map<SearchCacheKey, CacheEntry, SearchCacheKeyHash> cache_;
   /// Cache keys, most recently used first; entries point into it.
   std::list<SearchCacheKey> recency_;
-  std::vector<Request*> queue_;
-  bool draining_ = false;
   OracleBrokerStats stats_;
   /// Durability hook (null = no persistence). Fired under mutex_ on new
   /// cache inserts and new/updated log records.

@@ -3,7 +3,7 @@
 // until truth discovery, so the ColumnScheduler runs one StandardizeColumn
 // job per column on a shared ThreadPool instead — each job with its own
 // GroupingEngine — and funnels every oracle interaction through one
-// OracleBroker (cache + cross-column batching + replay log).
+// OracleBroker (cache + one backend call at a time + replay log).
 //
 // Determinism contract: the pipeline's output is byte-identical for any
 // thread count and for column_parallel on/off, *provided the backend

@@ -55,10 +55,10 @@ void AppendJsonEscaped(std::string* out, const std::string& value) {
 /// the serving + persist layers open (unknown names still profile into
 /// the table/dump; they just have no dedicated gauge).
 const char* const kProfiledSpanNames[] = {
-    "request",     "admission_wait", "column",        "candidates",
-    "graph_build", "search_wave",    "oracle_batch",  "oracle_call",
-    "apply",       "fuse",           "wal_append",    "fsync",
-    "snapshot_write", "compaction"};
+    "request",     "admission_wait", "column",      "candidates",
+    "graph_build", "search_wave",    "oracle_call", "apply",
+    "fuse",        "wal_append",     "fsync",       "snapshot_write",
+    "compaction"};
 
 }  // namespace
 
@@ -231,10 +231,6 @@ void ConsolidationService::RegisterMetrics() {
       "ustl_oracle_backend_calls", "Questions that reached the backend");
   Gauge* oracle_cache_hits = metrics_.RegisterGauge(
       "ustl_oracle_cache_hits", "Questions served from the verdict cache");
-  Gauge* oracle_batches =
-      metrics_.RegisterGauge("ustl_oracle_batches", "Combined batches drained");
-  Gauge* oracle_max_batch =
-      metrics_.RegisterGauge("ustl_oracle_max_batch", "Largest batch drained");
   Gauge* oracle_evictions = metrics_.RegisterGauge(
       "ustl_oracle_evictions", "Verdicts dropped by the LRU bound");
   Gauge* search_lookups = metrics_.RegisterGauge(
@@ -286,8 +282,6 @@ void ConsolidationService::RegisterMetrics() {
     oracle_questions->Set(static_cast<int64_t>(oracle.questions));
     oracle_backend_calls->Set(static_cast<int64_t>(oracle.backend_calls));
     oracle_cache_hits->Set(static_cast<int64_t>(oracle.cache_hits));
-    oracle_batches->Set(static_cast<int64_t>(oracle.batches));
-    oracle_max_batch->Set(static_cast<int64_t>(oracle.max_batch));
     oracle_evictions->Set(static_cast<int64_t>(oracle.evictions));
     const SearchCacheStats search = search_cache_.stats();
     search_lookups->Set(static_cast<int64_t>(search.lookups));

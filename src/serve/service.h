@@ -241,7 +241,7 @@ struct RequestOptions {
   /// clock reads, no span ids. Non-null makes the service carry a
   /// TraceContext through every layer of this request: spans for the
   /// request root, admission wait, each column, graph builds, search
-  /// waves, oracle batches/calls and the final fuse, plus cache-hit and
+  /// waves, oracle calls and the final fuse, plus cache-hit and
   /// retry/breaker events. Observability only — table output is
   /// byte-identical with tracing on or off.
   TraceSink* trace_sink = nullptr;

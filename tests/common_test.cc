@@ -1,6 +1,8 @@
 // Tests for src/common: Status/Result, string utilities, Rng, Timer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <set>
 
 #include "common/random.h"
@@ -110,6 +112,27 @@ TEST(StringUtilTest, NormalizeWhitespace) {
 TEST(StringUtilTest, EscapeForDisplay) {
   EXPECT_EQ(EscapeForDisplay("a\tb"), "a\\x09b");
   EXPECT_EQ(EscapeForDisplay("plain"), "plain");
+}
+
+TEST(StringUtilTest, ParseUnsignedTakesDigitsOnly) {
+  EXPECT_EQ(ParseUnsigned("0"), std::optional<uint64_t>(0));
+  EXPECT_EQ(ParseUnsigned("40"), std::optional<uint64_t>(40));
+  EXPECT_EQ(ParseUnsigned("007"), std::optional<uint64_t>(7));
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"),
+            std::optional<uint64_t>(UINT64_MAX));
+}
+
+TEST(StringUtilTest, ParseUnsignedRejectsEverythingElse) {
+  EXPECT_FALSE(ParseUnsigned(""));
+  EXPECT_FALSE(ParseUnsigned("abc"));
+  EXPECT_FALSE(ParseUnsigned("-3"));
+  EXPECT_FALSE(ParseUnsigned("+3"));
+  EXPECT_FALSE(ParseUnsigned(" 3"));
+  EXPECT_FALSE(ParseUnsigned("3 "));
+  EXPECT_FALSE(ParseUnsigned("12abc"));
+  EXPECT_FALSE(ParseUnsigned("1.5"));
+  EXPECT_FALSE(ParseUnsigned("18446744073709551616"));  // UINT64_MAX + 1
+  EXPECT_FALSE(ParseUnsigned("99999999999999999999"));
 }
 
 TEST(RngTest, DeterministicFromSeed) {

@@ -155,6 +155,13 @@ TEST(ClusteredCsvTest, MissingKeyColumnIsAnError) {
   EXPECT_FALSE(ReadClusteredCsv("a,b\n1,2\n", "cluster").ok());
 }
 
+TEST(ClusteredCsvTest, RepeatedKeyColumnIsAnError) {
+  Result<ClusteredCsv> clustered =
+      ReadClusteredCsv("cluster,cluster\n1,a\n", "cluster");
+  ASSERT_FALSE(clustered.ok());
+  EXPECT_EQ(clustered.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ClusteredCsvTest, RaggedRowIsAnError) {
   EXPECT_FALSE(
       ReadClusteredCsv("cluster,a\nk1,1\nk2\n", "cluster").ok());

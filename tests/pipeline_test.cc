@@ -1,15 +1,17 @@
-// Tests for src/pipeline: OracleBroker cache/dedup/batching semantics, the
+// Tests for src/pipeline: OracleBroker cache/dedup/turn semantics, the
 // deterministic replay log (round-trip through consolidate/replay.h), the
 // column-parallel bit-identity contract of the ColumnScheduler, and the
 // serialized progress-callback guarantee.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cancel.h"
 #include "consolidate/framework.h"
 #include "consolidate/oracle.h"
 #include "consolidate/replay.h"
@@ -90,14 +92,12 @@ TEST(OracleBrokerTest, CacheOffForwardsEveryQuestion) {
   EXPECT_EQ(stats.questions, 3u);
   EXPECT_EQ(stats.backend_calls, 3u);
   EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.batches, 3u);  // serial: every question its own batch
-  EXPECT_EQ(stats.max_batch, 1u);
 }
 
 TEST(OracleBrokerTest, ConcurrentDuplicateAsksReachTheBackendOnce) {
-  // Whether a thread hits the cache at entry or queues behind the combiner
-  // and is answered from a same-key twin, the backend answers exactly once
-  // and everyone sees that verdict.
+  // Whether a thread hits the cache at entry or waits for the turn and is
+  // answered from a same-key twin, the backend answers exactly once and
+  // everyone sees that verdict.
   CountingOracle backend;
   backend.set_delay(std::chrono::milliseconds(20));
   OracleBroker broker(&backend);
@@ -170,8 +170,8 @@ TEST(OracleBrokerTest, BackendExceptionPropagatesAndBrokerRecovers) {
   // The failure surfaces in the asking thread (not a hang or a silent
   // rejection)...
   EXPECT_THROW(broker.Verify(Question("9")), std::runtime_error);
-  // ...and the broker hands back the combiner role: the next question
-  // goes through normally and gets cached.
+  // ...and the broker hands the turn on: the next question goes through
+  // normally and gets cached.
   EXPECT_TRUE(broker.Verify(Question("9")).approved);
   EXPECT_TRUE(broker.Verify(Question("9")).approved);
   OracleBrokerStats stats = broker.stats();
@@ -181,10 +181,9 @@ TEST(OracleBrokerTest, BackendExceptionPropagatesAndBrokerRecovers) {
 }
 
 TEST(OracleBrokerTest, ThrowingCombinerLeavesCacheAndLogConsistent) {
-  // Satellite pin (PR "robustness"): a backend throw mid-combine must not
-  // leave partial entries behind — no verdict cached, nothing appended to
-  // the approved log — and both must work normally for the question
-  // afterwards.
+  // A backend throw must not leave partial entries behind — no verdict
+  // cached, nothing appended to the approved log — and both must work
+  // normally for the question afterwards.
   FlakyOracle backend;  // throws on the first call, approves afterwards
   OracleBroker broker(&backend);
   QuestionContext context;
@@ -209,8 +208,8 @@ TEST(OracleBrokerTest, ThrowingCombinerLeavesCacheAndLogConsistent) {
 
 TEST(OracleBrokerTest, ThrowingCombinerFailsOnlyTheAskingRequest) {
   // Concurrent askers during a backend failure: only the question whose
-  // backend call threw fails; every other queued question is still served
-  // (possibly by the same combiner pass) and the broker stays usable.
+  // backend call threw fails; every other waiting question is still served
+  // and the broker stays usable.
   class PoisonOracle : public VerificationOracle {
    public:
     Verdict Verify(const std::vector<StringPair>& group_pairs) override {
@@ -225,7 +224,7 @@ TEST(OracleBrokerTest, ThrowingCombinerFailsOnlyTheAskingRequest) {
     std::chrono::milliseconds delay_{0};
   };
   PoisonOracle backend;
-  backend.delay_ = std::chrono::milliseconds(5);  // lets a batch form
+  backend.delay_ = std::chrono::milliseconds(5);  // others wait their turn
   OracleBroker broker(&backend);
   std::atomic<size_t> served{0};
   std::atomic<size_t> failed{0};
@@ -244,6 +243,156 @@ TEST(OracleBrokerTest, ThrowingCombinerFailsOnlyTheAskingRequest) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failed.load(), 1u);
   EXPECT_EQ(served.load(), 5u);
+}
+
+// Polls `ready` every 100 us until it holds or 5 s pass; returns whether
+// it held. Caps every cross-thread wait in the turn tests below, so a
+// broken broker fails them instead of hanging.
+template <typename Ready>
+bool WaitUpTo5s(Ready ready) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!ready()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+TEST(OracleBrokerTest, EachBackendCallRunsOnTheAskingThread) {
+  // A's call is held until B waits for the turn; B's call then waits until
+  // A's asker has returned from the broker. Each call runs on its asker's
+  // thread, so A returns as soon as its own verdict is in instead of
+  // staying to call the backend for B.
+  class ProbeOracle : public VerificationOracle {
+   public:
+    Verdict Verify(const std::vector<StringPair>& group_pairs) override {
+      if (group_pairs == Question("a")) {
+        a_call_thread = std::this_thread::get_id();
+        in_a_call = true;
+        WaitUpTo5s([&] { return broker->stats().pending == 1; });
+      } else {
+        b_call_thread = std::this_thread::get_id();
+        b_saw_a_return = WaitUpTo5s([&] { return a_returned.load(); });
+      }
+      Verdict verdict;
+      verdict.approved = true;
+      return verdict;
+    }
+    OracleBroker* broker = nullptr;
+    std::atomic<bool> in_a_call{false};
+    std::atomic<bool> a_returned{false};
+    std::thread::id a_call_thread;
+    std::thread::id b_call_thread;
+    bool b_saw_a_return = false;
+  };
+  ProbeOracle backend;
+  OracleBroker broker(&backend);
+  backend.broker = &broker;
+  std::thread a([&] {
+    broker.Verify(Question("a"));
+    backend.a_returned = true;
+  });
+  EXPECT_TRUE(WaitUpTo5s([&] { return backend.in_a_call.load(); }));
+  std::thread b([&] { broker.Verify(Question("b")); });
+  const std::thread::id a_id = a.get_id();
+  const std::thread::id b_id = b.get_id();
+  a.join();
+  b.join();
+  EXPECT_EQ(backend.a_call_thread, a_id);
+  EXPECT_EQ(backend.b_call_thread, b_id);
+  EXPECT_TRUE(backend.b_saw_a_return);
+  EXPECT_EQ(broker.stats().backend_calls, 2u);
+}
+
+TEST(OracleBrokerTest, CancelledWaiterUnwindsWithoutReachingTheBackend) {
+  // While A's call holds the turn, a waiter whose request is then
+  // cancelled throws CancelledError before A is released, and never
+  // reaches the backend.
+  class HoldingOracle : public VerificationOracle {
+   public:
+    Verdict Verify(const std::vector<StringPair>& group_pairs) override {
+      (void)group_pairs;
+      ++calls;
+      in_call = true;
+      held_until_released = WaitUpTo5s([&] { return release.load(); });
+      Verdict verdict;
+      verdict.approved = true;
+      return verdict;
+    }
+    std::atomic<size_t> calls{0};
+    std::atomic<bool> in_call{false};
+    std::atomic<bool> release{false};
+    bool held_until_released = false;
+  };
+  HoldingOracle backend;
+  OracleBroker broker(&backend);
+  std::thread a([&] { broker.Verify(Question("a")); });
+  EXPECT_TRUE(WaitUpTo5s([&] { return backend.in_call.load(); }));
+  CancelState cancel;
+  QuestionContext context;
+  context.cancel = CancelToken(&cancel);
+  bool cancelled = false;
+  std::thread waiter([&] {
+    try {
+      broker.VerifyWithContext(Question("w"), context);
+    } catch (const CancelledError& error) {
+      cancelled = error.status() == RequestStatus::kCancelled;
+    }
+  });
+  EXPECT_TRUE(WaitUpTo5s([&] { return broker.stats().pending == 1; }));
+  cancel.Cancel();
+  waiter.join();
+  backend.release = true;
+  a.join();
+  EXPECT_TRUE(cancelled);
+  EXPECT_TRUE(backend.held_until_released);  // A was not timed out
+  EXPECT_EQ(backend.calls.load(), 1u);
+  OracleBrokerStats stats = broker.stats();
+  EXPECT_EQ(stats.questions, 2u);
+  EXPECT_EQ(stats.backend_calls, 1u);
+  EXPECT_EQ(stats.pending, 0u);
+}
+
+TEST(OracleBrokerTest, NeverCallsTheBackendConcurrently) {
+  // The guarantee every VerificationOracle relies on (consolidate/
+  // oracle.h): however many threads ask, at most one backend call is in
+  // flight.
+  class InFlightOracle : public VerificationOracle {
+   public:
+    Verdict Verify(const std::vector<StringPair>& group_pairs) override {
+      (void)group_pairs;
+      const size_t now = ++in_flight;
+      size_t seen = max_in_flight.load();
+      while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+      }
+      ++calls;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      --in_flight;
+      Verdict verdict;
+      verdict.approved = true;
+      return verdict;
+    }
+    std::atomic<size_t> in_flight{0};
+    std::atomic<size_t> max_in_flight{0};
+    std::atomic<size_t> calls{0};
+  };
+  InFlightOracle backend;
+  OracleBroker broker(&backend);
+  constexpr int kThreads = 8;
+  constexpr int kQuestionsPerThread = 5;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int q = 0; q < kQuestionsPerThread; ++q) {
+        broker.Verify(Question(std::to_string(t) + "." + std::to_string(q)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(backend.max_in_flight.load(), 1u);
+  EXPECT_EQ(backend.calls.load(), 40u);
+  EXPECT_EQ(broker.stats().backend_calls, 40u);
 }
 
 TEST(OracleBrokerTest, ApprovedLogIsSortedDedupedAndParseable) {

@@ -14,6 +14,7 @@
 #   profiling      profiler / sampling / flight-recorder sweep
 #   persist        WAL + snapshot recovery, kill-tested
 #   drain          SIGTERM graceful drain
+#   badinput       malformed CLI input: typed errors, never an abort
 #   bench          perf-regression gate over the BENCH_* trajectory
 #   perfbench      end-to-end benchmark build + output and work checks
 #   tsan           parallel subsystems under ThreadSanitizer
@@ -28,7 +29,7 @@ set -eu
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 LEGS="tier1 columns wave serve faults observability profiling persist"
-LEGS="$LEGS drain bench perfbench tsan asan debug"
+LEGS="$LEGS drain badinput bench perfbench tsan asan debug"
 
 BUILT=0
 build() {
@@ -279,6 +280,59 @@ leg_drain() {
   grep -q "ustl_requests_completed_total" build/drain_metrics.prom
   test -f build/persist_smoke/snapshot.bin
   echo "graceful drain smoke: clean exit + final snapshot"
+}
+
+# Runs a command that must refuse its input: exit 1 or 2 with MESSAGE on
+# stderr. Exit 0 (the input silently accepted) and exits of 128 or more
+# (an abort or a signal) both fail the leg.
+expect_rejected() {
+  message="$1"
+  shift
+  status=0
+  "$@" > build/badinput.out 2> build/badinput.err || status=$?
+  if [ "$status" != 1 ] && [ "$status" != 2 ]; then
+    echo "badinput: exit $status from: $*"
+    cat build/badinput.err
+    exit 1
+  fi
+  if ! grep -qF -- "$message" build/badinput.err; then
+    echo "badinput: no '$message' on stderr from: $*"
+    cat build/badinput.err
+    exit 1
+  fi
+}
+
+# Bad user input gets a typed error, never an abort or a silent success:
+# a header naming the cluster column twice (through both CLIs), a
+# non-numeric budget (flag and manifest field) and a zero retry budget.
+leg_badinput() {
+  build
+  ./build/ustl-generate --dataset address --scale 0.02 \
+    --out build/badinput_ok.csv
+  printf 'cluster,cluster\n1,a\n' > build/badinput_dup.csv
+  printf '%s\n' \
+    "input=build/badinput_dup.csv output=build/badinput_dup.out.csv" \
+    > build/badinput_dup.txt
+  printf '%s\n' \
+    "input=build/badinput_ok.csv output=build/badinput_ok.out.csv budget=abc" \
+    > build/badinput_budget.txt
+  printf '%s\n' \
+    "input=build/badinput_ok.csv output=build/badinput_ok.out.csv" \
+    > build/badinput_ok.txt
+  expect_rejected "more than once" ./build/ustl-consolidate \
+    --input build/badinput_dup.csv --output build/badinput_dup.out.csv \
+    --approve all
+  expect_rejected "more than once" ./build/ustl-serve \
+    --manifest build/badinput_dup.txt
+  expect_rejected "--budget" ./build/ustl-consolidate \
+    --input build/badinput_ok.csv --output build/badinput_ok.out.csv \
+    --approve all --budget abc
+  expect_rejected "budget=" ./build/ustl-serve \
+    --manifest build/badinput_budget.txt
+  expect_rejected "--retry-attempts" ./build/ustl-serve \
+    --manifest build/badinput_ok.txt \
+    --fault-plan "rate=0.5,fails=2,seed=7" --retry-attempts 0
+  echo "bad-input smoke: typed errors, no aborts"
 }
 
 # Rerun the self-checking micro-kernel suite plus the robustness legs and

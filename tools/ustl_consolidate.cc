@@ -17,10 +17,13 @@
 // y/n/q plus a direction from stdin — the paper's human expert, live.
 // --approve all applies every group lhs -> rhs without asking (useful for
 // demos and smoke tests; real use should keep a human in the loop).
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "common/string_util.h"
 #include "consolidate/framework.h"
 #include "consolidate/oracle.h"
 #include "consolidate/replay.h"
@@ -162,7 +165,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--approve") == 0) {
       args.approve = next("--approve");
     } else if (std::strcmp(argv[i], "--budget") == 0) {
-      args.budget = std::strtoull(next("--budget"), nullptr, 10);
+      const char* value = next("--budget");
+      const std::optional<uint64_t> budget = ParseUnsigned(value);
+      if (!budget) {
+        std::fprintf(stderr,
+                     "--budget must be a non-negative integer, got '%s'\n",
+                     value);
+        Usage();
+        return 2;
+      }
+      args.budget = *budget;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       args.threads = std::atoi(next("--threads"));
     } else if (std::strcmp(argv[i], "--column-parallel") == 0) {
@@ -223,7 +235,7 @@ int main(int argc, char** argv) {
                 transformations->size());
   } else if (args.approve == "all") {
     // Batch path: the pipeline subsystem fans columns out over the thread
-    // budget (when asked) and brokers every question — cache, batching
+    // budget (when asked) and brokers every question — cache, turn-taking
     // and the replay log come from one place.
     PipelineOptions pipeline;
     pipeline.framework = options;
@@ -242,9 +254,9 @@ int main(int argc, char** argv) {
                   result.edits);
     }
     std::printf("oracle: %zu question(s), %zu reached the oracle, %zu "
-                "cache hit(s), largest batch %zu\n",
+                "cache hit(s)\n",
                 run.oracle_stats.questions, run.oracle_stats.backend_calls,
-                run.oracle_stats.cache_hits, run.oracle_stats.max_batch);
+                run.oracle_stats.cache_hits);
     approved = std::move(run.approved_log);
   } else {
     // Interactive columns stay serial, but still go through a broker: the

@@ -58,12 +58,15 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "consolidate/oracle.h"
 #include "io/csv.h"
@@ -172,8 +175,8 @@ void Usage() {
       "                  [--fault-plan SPEC (e.g. rate=0.5,fails=2,seed=7;\n"
       "                   default: none; wraps the oracle in seeded fault\n"
       "                   injection and fronts it with bounded retries)]\n"
-      "                  [--retry-attempts N (default: 4; retry budget\n"
-      "                   used when --fault-plan is active)]\n"
+      "                  [--retry-attempts N (default: 4, at least 1; retry\n"
+      "                   budget used when --fault-plan is active)]\n"
       "                  [--metrics-out FILE (scrape the metrics registry\n"
       "                   into FILE at exit: Prometheus text, or a JSON\n"
       "                   snapshot when FILE ends in .json)]\n"
@@ -401,7 +404,14 @@ Result<std::vector<ManifestEntry>> ParseManifest(const std::string& content) {
       } else if (key == "cluster-col") {
         entry.cluster_col = value;
       } else if (key == "budget") {
-        entry.budget = std::strtoull(value.c_str(), nullptr, 10);
+        const std::optional<uint64_t> budget = ParseUnsigned(value);
+        if (!budget) {
+          return Status::InvalidArgument(
+              "manifest line " + std::to_string(line_number) +
+              ": budget= must be a non-negative integer, got '" + value +
+              "'");
+        }
+        entry.budget = *budget;
       } else {
         return Status::InvalidArgument("manifest line " +
                                        std::to_string(line_number) +
@@ -433,12 +443,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A strictly parsed integer flag value in [low, high]; anything else
+    // is a malformed command line.
+    auto next_unsigned = [&](const char* flag, uint64_t low,
+                             uint64_t high) -> uint64_t {
+      const char* value = next(flag);
+      const std::optional<uint64_t> parsed = ParseUnsigned(value);
+      if (!parsed || *parsed < low || *parsed > high) {
+        std::fprintf(stderr,
+                     "%s must be an integer in [%llu, %llu], got '%s'\n", flag,
+                     static_cast<unsigned long long>(low),
+                     static_cast<unsigned long long>(high), value);
+        Usage();
+        std::exit(2);
+      }
+      return *parsed;
+    };
     if (std::strcmp(argv[i], "--manifest") == 0) {
       args.manifest = next("--manifest");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       args.threads = std::atoi(next("--threads"));
     } else if (std::strcmp(argv[i], "--budget") == 0) {
-      args.budget = std::strtoull(next("--budget"), nullptr, 10);
+      args.budget =
+          next_unsigned("--budget", 0, std::numeric_limits<size_t>::max());
     } else if (std::strcmp(argv[i], "--repeat") == 0) {
       args.repeat = std::strtoull(next("--repeat"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--max-cache-entries") == 0) {
@@ -455,7 +482,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--fault-plan") == 0) {
       args.fault_plan = next("--fault-plan");
     } else if (std::strcmp(argv[i], "--retry-attempts") == 0) {
-      args.retry_attempts = std::atoi(next("--retry-attempts"));
+      args.retry_attempts = static_cast<int>(next_unsigned(
+          "--retry-attempts", 1, std::numeric_limits<int>::max()));
     } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
       args.metrics_out = next("--metrics-out");
     } else if (std::strcmp(argv[i], "--metrics-interval-ms") == 0) {
