@@ -7,8 +7,8 @@
 //     output must stay byte-identical to the serial clean baseline,
 //     retries must actually fire, nothing may exhaust;
 //   * breaker — a persistently failing backend opens the circuit
-//     breaker; previously answered questions replay from the degradation
-//     cache and the service keeps serving clean requests afterwards;
+//     breaker, which then fails calls without asking the backend, and
+//     the service keeps serving clean requests afterwards;
 //   * cancel — a request cancelled mid-flight must return its typed
 //     status within a bounded wall-clock latency (the one absolute-time
 //     gate, with a deliberately generous ceiling: it detects hangs, not
@@ -272,7 +272,7 @@ int main() {
            byte_identical ? "true" : "false");
   }
 
-  // --- breaker: persistent faults trip it; degraded service replays.
+  // --- breaker: persistent faults trip it; open, it short-circuits.
   {
     FaultPlan plan;
     plan.fault_rate = 1.0;

@@ -33,9 +33,6 @@ enum class RequestStatus : uint8_t {
   kDeadlineExceeded,
   /// The backend (oracle) failed the request; Wait() rethrows the cause.
   kError,
-  /// The completed-but-unwaited handle was garbage-collected before
-  /// Wait() arrived (ServiceOptions::max_retained_results).
-  kReaped,
   /// The service had begun draining (Shutdown) when Submit arrived; the
   /// request was never admitted. In-flight requests are unaffected.
   kShuttingDown,
@@ -51,8 +48,6 @@ inline const char* RequestStatusName(RequestStatus status) {
       return "deadline_exceeded";
     case RequestStatus::kError:
       return "error";
-    case RequestStatus::kReaped:
-      return "reaped";
     case RequestStatus::kShuttingDown:
       return "shutting_down";
   }

@@ -111,6 +111,35 @@ std::string EscapeForDisplay(std::string_view s) {
   return out;
 }
 
+void AppendJsonString(std::string* out, std::string_view value) {
+  out->push_back('"');
+  for (char c : value) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 std::optional<uint64_t> ParseUnsigned(std::string_view s) {
   uint64_t value = 0;
   const char* end = s.data() + s.size();

@@ -42,6 +42,11 @@ std::string NormalizeWhitespace(std::string_view s);
 /// Escapes a string for display in reports: control chars become \xNN.
 std::string EscapeForDisplay(std::string_view s);
 
+/// Appends `value` to `out` as a quoted JSON string: quote, backslash,
+/// \n and \t get their short escapes, other control bytes \u00XX; every
+/// other byte (UTF-8 included) passes through unchanged.
+void AppendJsonString(std::string* out, std::string_view value);
+
 /// Parses a whole string of ASCII decimal digits as an unsigned integer.
 /// Empty strings, signs, whitespace, trailing junk and values past
 /// UINT64_MAX yield nullopt, unlike strtoull's silent 0 or wraparound.

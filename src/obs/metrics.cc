@@ -9,6 +9,8 @@
 #include <unistd.h>
 #endif
 
+#include "common/string_util.h"
+
 namespace ustl {
 
 namespace {
@@ -21,35 +23,6 @@ std::atomic<size_t> g_next_shard{0};
 
 size_t AssignShard() {
   return g_next_shard.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-}
-
-void AppendJsonString(std::string* out, const std::string& value) {
-  out->push_back('"');
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace

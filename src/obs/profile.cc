@@ -1,49 +1,11 @@
 #include "obs/profile.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 
+#include "common/string_util.h"
+
 namespace ustl {
-
-namespace {
-
-void AppendJsonEscaped(std::string* out, const std::string& value) {
-  out->push_back('"');
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendInt(std::string* out, long long value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", value);
-  *out += buf;
-}
-
-}  // namespace
 
 void ProfileAccumulator::Emit(const TraceSpan& span) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -180,26 +142,26 @@ std::string ProfileAccumulator::WriteJson() const {
     const std::string& path = row.first;
     const size_t sep = path.rfind(';');
     out += "{\"path\": ";
-    AppendJsonEscaped(&out, path);
+    AppendJsonString(&out, path);
     out += ", \"name\": ";
-    AppendJsonEscaped(
+    AppendJsonString(
         &out, sep == std::string::npos ? path : path.substr(sep + 1));
     out += ", \"count\": ";
-    AppendInt(&out, static_cast<long long>(row.second.count));
+    out += std::to_string(row.second.count);
     out += ", \"wall_us\": ";
-    AppendInt(&out, row.second.wall_us);
+    out += std::to_string(row.second.wall_us);
     out += ", \"self_wall_us\": ";
-    AppendInt(&out, row.second.self_wall_us);
+    out += std::to_string(row.second.self_wall_us);
     out += ", \"cpu_us\": ";
-    AppendInt(&out, row.second.cpu_us);
+    out += std::to_string(row.second.cpu_us);
     out += ", \"self_cpu_us\": ";
-    AppendInt(&out, row.second.self_cpu_us);
+    out += std::to_string(row.second.self_cpu_us);
     out += "}";
   }
   out += "], \"folded_spans\": ";
-  AppendInt(&out, static_cast<long long>(folded_));
+  out += std::to_string(folded_);
   out += ", \"dropped_spans\": ";
-  AppendInt(&out, static_cast<long long>(dropped_));
+  out += std::to_string(dropped_);
   out += "}";
   return out;
 }
@@ -211,7 +173,7 @@ std::string ProfileAccumulator::WriteFolded() const {
     if (row.second.self_wall_us <= 0) continue;
     out += row.first;
     out.push_back(' ');
-    AppendInt(&out, row.second.self_wall_us);
+    out += std::to_string(row.second.self_wall_us);
     out.push_back('\n');
   }
   return out;

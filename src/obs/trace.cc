@@ -1,55 +1,16 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include "common/string_util.h"
 
 namespace ustl {
-
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& value) {
-  out->push_back('"');
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendInt(std::string* out, long long value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", value);
-  *out += buf;
-}
-
-}  // namespace
 
 std::string FormatTraceSpanJson(const TraceSpan& span) {
   std::string out = "{\"request\": ";
   AppendJsonString(&out, span.request_id);
   out += ", \"id\": ";
-  AppendInt(&out, static_cast<long long>(span.id));
+  out += std::to_string(span.id);
   out += ", \"parent\": ";
-  AppendInt(&out, static_cast<long long>(span.parent));
+  out += std::to_string(span.parent);
   out += ", \"name\": ";
   AppendJsonString(&out, span.name);
   if (!span.detail.empty()) {
@@ -57,11 +18,11 @@ std::string FormatTraceSpanJson(const TraceSpan& span) {
     AppendJsonString(&out, span.detail);
   }
   out += ", \"start_us\": ";
-  AppendInt(&out, span.start_us);
+  out += std::to_string(span.start_us);
   out += ", \"end_us\": ";
-  AppendInt(&out, span.end_us);
+  out += std::to_string(span.end_us);
   out += ", \"cpu_us\": ";
-  AppendInt(&out, span.cpu_us);
+  out += std::to_string(span.cpu_us);
   if (!span.attrs.empty()) {
     out += ", \"attrs\": {";
     bool first = true;
@@ -70,7 +31,7 @@ std::string FormatTraceSpanJson(const TraceSpan& span) {
       first = false;
       AppendJsonString(&out, attr.first);
       out += ": ";
-      AppendInt(&out, attr.second);
+      out += std::to_string(attr.second);
     }
     out += "}";
   }

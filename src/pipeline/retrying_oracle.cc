@@ -1,18 +1,14 @@
 #include "pipeline/retrying_oracle.h"
 
-#include <chrono>
-#include <thread>
-
-#include "common/random.h"
 #include "obs/trace.h"
 
 namespace ustl {
 
 namespace {
 
-// Retry/backoff/breaker attribution on the asking request's trace.
-// Observability only: emitted after the decision is already made, so the
-// retry schedule and breaker state machine are identical traced or not.
+// Retry/breaker attribution on the asking request's trace. Observability
+// only: emitted after the decision is already made, so the retry schedule
+// and breaker state machine are identical traced or not.
 void TraceRetryEvent(const QuestionContext& context, const char* name,
                      std::vector<std::pair<std::string, int64_t>> attrs) {
   if (context.trace == nullptr) return;
@@ -25,39 +21,15 @@ void TraceRetryEvent(const QuestionContext& context, const char* name,
 Verdict RetryingOracle::VerifyWithContext(
     const std::vector<StringPair>& group_pairs,
     const QuestionContext& context) {
-  const uint64_t hash = HashQuestion(group_pairs);
-
-  bool probe = false;  // this call is the half-open probe
+  bool probe = false;  // this call is the open breaker's one real call
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (breaker_ == Breaker::kOpen) {
-      ++open_calls_;
-      if (open_calls_ >= options_.breaker_cooldown_calls) {
-        breaker_ = Breaker::kHalfOpen;
-        probe = true;
-      } else {
+    if (open_) {
+      if (++open_calls_ < options_.breaker_cooldown_calls) {
         ++stats_.short_circuits;
-        if (options_.serve_cached_while_open) {
-          auto it = replay_.find(hash);
-          if (it != replay_.end()) {
-            ++stats_.replayed_verdicts;
-            return it->second;
-          }
-        }
         throw BreakerOpenError();
       }
-    } else if (breaker_ == Breaker::kHalfOpen) {
-      // Another call already probes; fail fast like open (no replay
-      // lookup is skipped — degraded service still replays).
-      ++stats_.short_circuits;
-      if (options_.serve_cached_while_open) {
-        auto it = replay_.find(hash);
-        if (it != replay_.end()) {
-          ++stats_.replayed_verdicts;
-          return it->second;
-        }
-      }
-      throw BreakerOpenError();
+      probe = true;
     }
   }
 
@@ -65,31 +37,6 @@ Verdict RetryingOracle::VerifyWithContext(
   std::exception_ptr last_error;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     context.cancel.Check();
-    if (attempt > 1) {
-      // Deterministic exponential backoff: exponent from the attempt,
-      // jitter a pure function of (seed, question, attempt).
-      int64_t delay = options_.backoff_base_ms;
-      for (int k = 2; k < attempt && delay < options_.backoff_cap_ms; ++k) {
-        delay *= 2;
-      }
-      if (delay > options_.backoff_cap_ms) delay = options_.backoff_cap_ms;
-      if (options_.backoff_base_ms > 0) {
-        Rng jitter(options_.seed ^ hash ^
-                   (static_cast<uint64_t>(attempt) * 0x9e3779b97f4a7c15ULL));
-        delay += jitter.Uniform(0, options_.backoff_base_ms);
-        if (delay > options_.backoff_cap_ms) delay = options_.backoff_cap_ms;
-      }
-      TraceRetryEvent(context, "oracle_backoff",
-                      {{"attempt", attempt}, {"delay_ms", delay}});
-      if (delay > 0) {
-        if (options_.sleep_ms) {
-          options_.sleep_ms(static_cast<int>(delay));
-        } else {
-          std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-        }
-      }
-      context.cancel.Check();
-    }
     try {
       Verdict verdict = backend_->VerifyWithContext(group_pairs, context);
       bool closed_now = false;
@@ -97,12 +44,8 @@ Verdict RetryingOracle::VerifyWithContext(
         std::lock_guard<std::mutex> lock(mutex_);
         if (attempt > 1) ++stats_.recovered;
         consecutive_exhausted_ = 0;
-        if (breaker_ != Breaker::kClosed) {
-          breaker_ = Breaker::kClosed;
-          open_calls_ = 0;
-          closed_now = true;
-        }
-        replay_[hash] = verdict;
+        closed_now = open_;
+        open_ = false;
       }
       if (closed_now) {
         TraceRetryEvent(context, "breaker_state", {{"open", 0}});
@@ -133,13 +76,10 @@ Verdict RetryingOracle::VerifyWithContext(
     ++stats_.exhausted;
     ++consecutive_exhausted_;
     if (probe) {
-      // Failed probe: straight back to open for another cooldown.
-      breaker_ = Breaker::kOpen;
-      open_calls_ = 0;
-    } else if (options_.breaker_failure_threshold > 0 &&
-               breaker_ == Breaker::kClosed &&
+      open_calls_ = 0;  // failed probe: another full cooldown
+    } else if (options_.breaker_failure_threshold > 0 && !open_ &&
                consecutive_exhausted_ >= options_.breaker_failure_threshold) {
-      breaker_ = Breaker::kOpen;
+      open_ = true;
       open_calls_ = 0;
       ++stats_.breaker_opens;
       opened_now = true;
@@ -161,7 +101,7 @@ RetryingOracleStats RetryingOracle::stats() const {
 
 bool RetryingOracle::breaker_open() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return breaker_ != Breaker::kClosed;
+  return open_;
 }
 
 }  // namespace ustl

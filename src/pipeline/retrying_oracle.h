@@ -1,27 +1,23 @@
-// A retry/backoff/circuit-breaker decorator for oracle backends. Sits
-// between the OracleBroker and a flaky backend (human UI gateway, RPC,
+// A retry/circuit-breaker decorator for oracle backends. Sits between the
+// OracleBroker and a flaky backend (human UI gateway, RPC,
 // FaultInjectingOracle in tests) and turns transient failures into
-// bounded, deterministic retries:
+// bounded retries:
 //
 //   * bounded retries — a failing question is re-asked up to
 //     max_attempts times; the verdict of an eventually-successful attempt
 //     is byte-identical to a never-failing backend's (verdicts are pure
 //     functions of question content), so retries never change output;
-//   * deterministic backoff — the delay before attempt k is
-//     min(cap, base << (k-1)) plus a jitter derived from (seed, question
-//     hash, k), never from wall-clock or a shared RNG stream: the same
-//     question backs off identically run after run;
 //   * circuit breaker — too many consecutive exhausted questions flip
 //     the breaker open, and while open the backend is not called at all:
-//     a question whose verdict was answered before is replayed from the
-//     decorator's content-keyed cache (degradation order: backend →
-//     retries → replayed verdict), anything else fails with a typed
-//     BreakerOpenError. Only the asking request fails — the broker hands
-//     the error to that request's waiters and keeps serving; after
-//     cooldown_calls short-circuited calls the breaker goes half-open
-//     and probes the backend with one real call (success closes it).
-//     Cooldown is counted in calls, not seconds, so breaker behavior is
-//     reproducible in tests.
+//     the question fails with a typed BreakerOpenError. Only the asking
+//     request fails — the broker hands the error to that request and
+//     keeps serving, and a question the broker answered before is a
+//     cache hit that never reaches this decorator (degradation order:
+//     broker cache → backend → retries → typed failure). The
+//     breaker_cooldown_calls-th call while open is a probe: one real
+//     backend call, after which success closes the breaker and failure
+//     starts another cooldown. Cooldown is counted in calls, not seconds,
+//     so breaker behavior is reproducible in tests.
 #ifndef USTL_PIPELINE_RETRYING_ORACLE_H_
 #define USTL_PIPELINE_RETRYING_ORACLE_H_
 
@@ -29,14 +25,13 @@
 #include <functional>
 #include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/status.h"
 #include "consolidate/oracle.h"
 
 namespace ustl {
 
-/// Thrown when the breaker is open and no replayed verdict is available.
+/// Thrown when the breaker is open and the call is not the probe.
 class BreakerOpenError : public std::runtime_error {
  public:
   BreakerOpenError() : std::runtime_error("oracle circuit breaker open") {}
@@ -51,11 +46,8 @@ struct RetryingOracleStats {
   size_t exhausted = 0;
   /// Closed -> open transitions.
   size_t breaker_opens = 0;
-  /// Calls answered while open without touching the backend: replayed
-  /// verdicts + BreakerOpenError failures.
+  /// Calls failed with BreakerOpenError without touching the backend.
   size_t short_circuits = 0;
-  /// Short-circuited calls served from the replay cache.
-  size_t replayed_verdicts = 0;
 };
 
 class RetryingOracle : public VerificationOracle {
@@ -63,32 +55,19 @@ class RetryingOracle : public VerificationOracle {
   struct Options {
     /// Total attempts per question (1 = no retry).
     int max_attempts = 3;
-    /// Exponential backoff before attempt k: min(cap, base << (k - 2)) +
-    /// jitter(seed, question, k) ms, k >= 2. base 0 = no waiting (tests).
-    int backoff_base_ms = 0;
-    int backoff_cap_ms = 100;
-    /// Jitter seed; jitter is uniform in [0, backoff_base_ms] and a pure
-    /// function of (seed, question hash, attempt).
-    uint64_t seed = 0x5eed;
     /// Consecutive exhausted questions that open the breaker. 0 disables
     /// the breaker entirely.
     size_t breaker_failure_threshold = 5;
-    /// Short-circuited calls while open before a half-open probe.
+    /// Calls while open up to and including the probe: the first
+    /// cooldown - 1 short-circuit, the next one probes the backend.
     size_t breaker_cooldown_calls = 16;
-    /// Serve previously answered questions from the replay cache while
-    /// open (the graceful-degradation mode). Off = every call while open
-    /// fails.
-    bool serve_cached_while_open = true;
-    /// Test hook replacing the real sleep; called with the computed
-    /// backoff in ms. Null = std::this_thread::sleep_for.
-    std::function<void(int)> sleep_ms;
     /// Observability: called (outside the decorator's lock) after a
     /// failed attempt schedules a retry, with the asking request id
     /// (QuestionContext::request_id; 0 = unattributed) and the attempt
     /// number just failed.
     std::function<void(uint64_t, int)> on_retry;
     /// Observability: called when the breaker opens (true) or closes
-    /// after a successful half-open probe (false).
+    /// after a successful probe (false).
     std::function<void(uint64_t, bool)> on_breaker;
   };
 
@@ -105,22 +84,20 @@ class RetryingOracle : public VerificationOracle {
                             const QuestionContext& context) override;
 
   RetryingOracleStats stats() const;
+  /// True from the opening failure until a successful call closes it,
+  /// probes included.
   bool breaker_open() const;
 
  private:
-  enum class Breaker { kClosed, kOpen, kHalfOpen };
-
   VerificationOracle* backend_;
   Options options_;
+  /// Guards the state below: stats() and breaker_open() are read from
+  /// the metrics collector and flight dumps on other threads.
   mutable std::mutex mutex_;
   RetryingOracleStats stats_;
-  Breaker breaker_ = Breaker::kClosed;
+  bool open_ = false;
   size_t consecutive_exhausted_ = 0;
-  size_t open_calls_ = 0;
-  /// Replay cache: verdicts by question content hash (HashQuestion).
-  /// Verdicts are pure functions of content, so replaying one while the
-  /// breaker is open returns exactly what the backend would.
-  std::unordered_map<uint64_t, Verdict> replay_;
+  size_t open_calls_ = 0;  // calls since the breaker (re)opened
 };
 
 }  // namespace ustl

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "consolidate/truth_discovery.h"
 
@@ -36,19 +37,6 @@ uint64_t HashTableContent(const Table& table) {
     }
   }
   return hash;
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& value) {
-  out->push_back('"');
-  for (char c : value) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out->push_back(' ');
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
 }
 
 /// Span names the profiler gauges export self-times for: the closed set
@@ -179,8 +167,6 @@ void ConsolidationService::RegisterMetrics() {
       "Requests finalized with kDeadlineExceeded");
   aged_grants_ = metrics_.RegisterCounter(
       "ustl_aged_grants_total", "Fairness-aging out-of-cycle grants");
-  handles_reaped_ = metrics_.RegisterCounter(
-      "ustl_handles_reaped_total", "Unwaited results reclaimed by the GC");
   requests_rejected_ = metrics_.RegisterCounter(
       "ustl_requests_rejected_total",
       "Submits rejected with kShuttingDown after drain began");
@@ -257,8 +243,6 @@ void ConsolidationService::RegisterMetrics() {
       "ustl_retry_breaker_opens", "Closed -> open breaker transitions");
   Gauge* retry_short_circuits = metrics_.RegisterGauge(
       "ustl_retry_short_circuits", "Calls answered while the breaker was open");
-  Gauge* retry_replayed = metrics_.RegisterGauge(
-      "ustl_retry_replayed_verdicts", "Short circuits served from replay");
   Gauge* retry_breaker_open = metrics_.RegisterGauge(
       "ustl_retry_breaker_open", "1 while the breaker is open or probing");
   Gauge* active_requests = metrics_.RegisterGauge(
@@ -298,7 +282,6 @@ void ConsolidationService::RegisterMetrics() {
       retry_exhausted->Set(static_cast<int64_t>(retry.exhausted));
       retry_breaker_opens->Set(static_cast<int64_t>(retry.breaker_opens));
       retry_short_circuits->Set(static_cast<int64_t>(retry.short_circuits));
-      retry_replayed->Set(static_cast<int64_t>(retry.replayed_verdicts));
       retry_breaker_open->Set(retrying_->breaker_open() ? 1 : 0);
     }
     if (persist_ != nullptr) {
@@ -461,8 +444,6 @@ uint64_t ConsolidationService::Submit(Table* table, RequestOptions options) {
       request->done = true;
       const uint64_t id = request->id;
       requests_.emplace(id, std::move(owned));
-      retained_.push_back(id);
-      ReapRetained();
       lock.unlock();
       requests_rejected_->Increment();
       ServeEvent rejected;
@@ -550,13 +531,10 @@ RequestResult ConsolidationService::Wait(uint64_t handle) {
   auto it = requests_.find(handle);
   USTL_CHECK(it != requests_.end());
   Request* request = it->second.get();
-  request->waiting = true;  // pins the handle against the GC
   done_cv_.wait(lock, [&] { return request->done; });
   std::exception_ptr error = request->error;
   RequestResult result = std::move(request->result);
   result.status = request->status;
-  auto retained = std::find(retained_.begin(), retained_.end(), handle);
-  if (retained != retained_.end()) retained_.erase(retained);
   requests_.erase(it);
   lock.unlock();
   if (error != nullptr) std::rethrow_exception(error);
@@ -598,7 +576,6 @@ ServiceStats ConsolidationService::stats() const {
   out.requests_cancelled = requests_cancelled_->Value();
   out.requests_deadline_exceeded = requests_deadline_exceeded_->Value();
   out.aged_grants = aged_grants_->Value();
-  out.handles_reaped = handles_reaped_->Value();
   out.requests_rejected = requests_rejected_->Value();
   if (persist_ != nullptr) out.persist = persist_->stats();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -893,10 +870,6 @@ void ConsolidationService::FinalizeRequest(Request* request) {
       requests_deadline_exceeded_->Increment();
     }
     active_.erase(std::find(active_.begin(), active_.end(), request));
-    if (!request->waiting) {
-      retained_.push_back(request->id);
-      ReapRetained();
-    }
     done_cv_.notify_all();
     admission_cv_.notify_all();
     // A zero-column request finalizes on the Submit thread with no worker
@@ -912,23 +885,6 @@ void ConsolidationService::MaybeCompact() {
   // mutex_ NOT held: dispatch keeps flowing while the snapshot lands.
   // Concurrent finalizes may both compact; the writes just serialize.
   (void)persist_->WriteSnapshot(broker_.ExportDurableState());
-}
-
-void ConsolidationService::ReapRetained() {
-  if (options_.max_retained_results == 0) return;
-  while (retained_.size() > options_.max_retained_results) {
-    const uint64_t victim = retained_.front();
-    retained_.pop_front();
-    auto it = requests_.find(victim);
-    if (it == requests_.end()) continue;  // collected by Wait meanwhile
-    Request* request = it->second.get();
-    if (request->waiting) continue;  // a Wait arrived; let it collect
-    request->result = RequestResult{};
-    request->error = nullptr;
-    request->status = RequestStatus::kReaped;
-    request->reaped = true;
-    handles_reaped_->Increment();
-  }
 }
 
 void ConsolidationService::Emit(Request& request, ServeEvent event) {
@@ -1013,7 +969,7 @@ void ConsolidationService::FireFlightDump(const char* reason) {
       if (!first) context += ", ";
       first = false;
       context += "{\"id\": " + std::to_string(request->id) + ", \"label\": ";
-      AppendJsonEscaped(&context, request->label);
+      AppendJsonString(&context, request->label);
       context += ", \"columns\": " + std::to_string(request->columns.size()) +
                  ", \"dispatched\": " + std::to_string(request->dispatched) +
                  ", \"completed\": " + std::to_string(request->completed) +

@@ -34,7 +34,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -96,8 +95,8 @@ struct ServiceOptions {
   /// whole workload atomically so the fairness order is reproducible.
   /// Waiting on a paused service without calling Resume() deadlocks.
   bool start_paused = false;
-  /// Front the backend with a RetryingOracle (retry/backoff/circuit
-  /// breaker, pipeline/retrying_oracle.h). The service wires the
+  /// Front the backend with a RetryingOracle (bounded retries and a
+  /// circuit breaker, pipeline/retrying_oracle.h). The service wires the
   /// decorator's observability hooks to kRetried / kBreakerOpen events
   /// and folds its counters into ServiceStats. Off = the backend is
   /// called directly, exactly the pre-retry behavior.
@@ -111,13 +110,6 @@ struct ServiceOptions {
   /// again. 0 disables aging. Dispatch order only — output bytes are
   /// admission-order-independent either way.
   size_t aging_grant_threshold = 64;
-  /// GC of never-waited handles: at most this many completed-but-unwaited
-  /// results are retained; past the bound the oldest completed handle is
-  /// reaped — its result freed, its Wait() returning a typed kReaped
-  /// status. 0 = retain everything (the pre-GC behavior; fine for
-  /// short-lived runs, unbounded for a service fronting careless
-  /// clients).
-  size_t max_retained_results = 0;
   /// Directory for durable warm state (src/persist/): the broker's
   /// verdict cache and approved log are WAL-logged as they grow,
   /// snapshotted on compaction and shutdown, and recovered into the
@@ -200,7 +192,7 @@ struct ServeEvent {
   int attempt = 0;
   /// kCancelled / kRequestDone: the request's terminal status.
   /// kBreakerOpen: kOk when the breaker closed again (a successful
-  /// half-open probe), kError when it opened.
+  /// probe), kError when it opened.
   RequestStatus status = RequestStatus::kOk;
   /// Ordering/timing a consumer can correlate on: `seq` is the 1-based
   /// monotonic sequence number of this event within its request (assigned
@@ -272,8 +264,6 @@ struct ServiceStats {
   size_t requests_deadline_exceeded = 0;
   /// Fairness-aging preemptions (grants awarded out of cycle order).
   size_t aged_grants = 0;
-  /// Completed-but-unwaited results reclaimed by the handle GC.
-  size_t handles_reaped = 0;
   /// Submits rejected with kShuttingDown after drain began.
   size_t requests_rejected = 0;
   /// Durability counters; all zero unless persist_dir is set.
@@ -307,8 +297,7 @@ class ConsolidationService {
   /// cancellation and deadline trips, which return normally with the
   /// typed RequestResult::status instead of throwing. A handle that is
   /// never waited keeps its (post-finalize, working-copies-freed) result
-  /// alive until the handle GC reaps it (max_retained_results); waiting
-  /// a reaped handle returns immediately with status kReaped.
+  /// until the service is destroyed.
   RequestResult Wait(uint64_t handle);
 
   /// Cancels an admitted request: trips its cancel state so in-flight
@@ -386,8 +375,6 @@ class ConsolidationService {
     uint64_t last_grant_seq = 0;  // fairness aging: global grant counter
                                   // value when this request last got a slot
     bool done = false;
-    bool waiting = false;  // a Wait() is blocked on it; GC must not reap
-    bool reaped = false;   // result GC'd; Wait returns kReaped immediately
     std::exception_ptr error;  // first failing column's exception
     /// Cooperative cancellation state shared with every layer below
     /// (framework -> grouping -> broker) via CancelToken views.
@@ -432,9 +419,6 @@ class ConsolidationService {
   /// Emit for a request known only by id (retry decorator callbacks);
   /// silently drops unattributed (id 0) or already-erased requests.
   void EmitForRequestId(uint64_t id, ServeEvent event);
-  /// Requires mutex_. Reaps oldest completed-unwaited results past
-  /// max_retained_results.
-  void ReapRetained();
   /// Snapshot + WAL reset when the WAL outgrew its compaction threshold.
   /// Called at the tail of FinalizeRequest with NO lock held: it takes
   /// the broker mutex (ExportDurableState), which the durability
@@ -498,8 +482,6 @@ class ConsolidationService {
   uint64_t next_arrival_ = 0;
   uint64_t cycle_ = 1;      // fairness round-robin cycle
   uint64_t grant_seq_ = 0;  // total grants; drives fairness aging
-  /// Completed-but-unwaited handles in completion order (GC candidates).
-  std::deque<uint64_t> retained_;
   /// Requests past the admission check but not yet in active_ (their
   /// kAdmitted event is being emitted outside the lock); counted against
   /// max_pending_requests so concurrent Submits cannot overshoot it.
@@ -531,7 +513,6 @@ class ConsolidationService {
   Counter* requests_cancelled_ = nullptr;
   Counter* requests_deadline_exceeded_ = nullptr;
   Counter* aged_grants_ = nullptr;
-  Counter* handles_reaped_ = nullptr;
   Counter* requests_rejected_ = nullptr;
   /// Grouping work counters, folded in once per completed column job
   /// from its ColumnRunResult (the engines stay registry-free).

@@ -135,6 +135,15 @@ TEST(StringUtilTest, ParseUnsignedRejectsEverythingElse) {
   EXPECT_FALSE(ParseUnsigned("99999999999999999999"));
 }
 
+TEST(StringUtilTest, AppendJsonStringEscapesControlBytesOnly) {
+  std::string out = "x=";
+  AppendJsonString(&out, "say \"hi\"\\ \n\t\x01 caf\xc3\xa9");
+  EXPECT_EQ(out, "x=\"say \\\"hi\\\"\\\\ \\n\\t\\u0001 caf\xc3\xa9\"");
+  out.clear();
+  AppendJsonString(&out, "");
+  EXPECT_EQ(out, "\"\"");
+}
+
 TEST(RngTest, DeterministicFromSeed) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) {

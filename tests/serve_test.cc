@@ -612,31 +612,48 @@ TEST(ServiceFaultToleranceTest, ExhaustedRetriesFailOnlyTheAskingRequest) {
   EXPECT_GT(service.stats().retry.exhausted, 0u);
 }
 
-TEST(ConsolidationServiceTest, HandleGcReapsOldestUnwaitedResult) {
+TEST(ServiceFaultToleranceTest, OpenBreakerStillServesCachedVerdicts) {
+  // Degradation with the breaker open: a question the broker answered
+  // before is a cache hit that never reaches the retry decorator, so a
+  // table seen before still completes byte-identically while a new one
+  // fails.
+  class DyingOracle : public VerificationOracle {
+   public:
+    Verdict Verify(const std::vector<StringPair>&) override {
+      if (dead) throw std::runtime_error("backend down");
+      Verdict verdict;
+      verdict.approved = true;
+      return verdict;
+    }
+    bool dead = false;
+  };
+  DyingOracle backend;
   ServiceOptions options;
   options.framework = TestFramework();
-  options.max_retained_results = 1;
-  ApproveAllOracle oracle;
-  ConsolidationService service(&oracle, options);
-  std::vector<Table> tables(3, MakeTable("Ash", 1, 4));
-  std::vector<uint64_t> handles;
-  for (Table& table : tables) handles.push_back(service.Submit(&table));
-  // Let everything complete without waiting any handle.
-  while (service.stats().requests_completed < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Two oldest completed-unwaited handles were reaped; the newest kept.
-  EXPECT_EQ(service.stats().handles_reaped, 2u);
-  RequestResult reaped = service.Wait(handles[0]);
-  EXPECT_EQ(reaped.status, RequestStatus::kReaped);
-  EXPECT_TRUE(reaped.per_column.empty());
-  RequestResult kept = service.Wait(handles[2]);
-  EXPECT_EQ(kept.status, RequestStatus::kOk);
-  EXPECT_FALSE(kept.per_column.empty());
-  // The tables themselves were standardized either way — reaping frees
-  // the result summary, not the committed work.
-  EXPECT_EQ(FingerprintConsolidation(tables[0], {}),
-            FingerprintConsolidation(tables[2], {}));
+  options.enable_retry = true;
+  options.retry.max_attempts = 1;
+  options.retry.breaker_failure_threshold = 1;
+  ConsolidationService service(&backend, options);
+  Table warm = MakeTable("Elm", 1, 4);
+  RequestResult first = service.Wait(service.Submit(&warm));
+  ASSERT_EQ(first.status, RequestStatus::kOk);
+  const std::string baseline =
+      FingerprintConsolidation(warm, first.golden_records);
+  EXPECT_EQ(baseline, SerialFingerprint(MakeTable("Elm", 1, 4)));
+
+  backend.dead = true;
+  Table fresh = MakeTable("Fir", 1, 4);
+  EXPECT_THROW(service.Wait(service.Submit(&fresh)), std::runtime_error);
+  const ServiceStats before = service.stats();
+  ASSERT_EQ(before.retry.breaker_opens, 1u);
+
+  Table again = MakeTable("Elm", 1, 4);
+  RequestResult second = service.Wait(service.Submit(&again));
+  EXPECT_EQ(second.status, RequestStatus::kOk);
+  EXPECT_EQ(FingerprintConsolidation(again, second.golden_records), baseline);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.oracle.backend_calls, before.oracle.backend_calls);
+  EXPECT_EQ(after.retry.short_circuits, before.retry.short_circuits);
 }
 
 TEST(ConsolidationServiceTest, AgingKeepsOutputByteIdentical) {

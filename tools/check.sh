@@ -154,7 +154,10 @@ leg_serve() {
 # eventually-successful fault plan (every faulty backend call recovers
 # within the retry budget) match the clean baselines. A second sweep with
 # injected latency plus a far-future deadline checks the deadline
-# plumbing is inert when it does not fire.
+# plumbing is inert when it does not fire. Last, a plan that exhausts
+# one question's retries fails table a alone: ustl-serve reports it,
+# writes nothing for it, still writes b and c byte-identically and
+# exits 1.
 leg_faults() {
   serve_inputs
   for threads in 1 4; do
@@ -166,7 +169,26 @@ leg_faults() {
     --fault-plan "rate=0.5,fails=1,slow=0.3,slow_ms=2,seed=11" \
     --deadline-ms 600000
   cmp_serve_outputs
-  echo "fault-sweep serve smoke: byte-identical"
+  for threads in 1 4; do
+    rm -f build/serve_a.out.csv build/serve_b.out.csv build/serve_c.out.csv
+    status=0
+    ./build/ustl-serve --manifest build/serve_fwd.txt --threads "$threads" \
+      --fault-plan "rate=0.02,fails=2,seed=9" --retry-attempts 2 \
+      > build/serve_failed.jsonl || status=$?
+    if [ "$status" != 1 ]; then
+      echo "failed-table serve: exit $status, want 1"
+      exit 1
+    fi
+    grep -q '"table": "a", "round": 1, "status": "error"' \
+      build/serve_failed.jsonl
+    if [ -e build/serve_a.out.csv ]; then
+      echo "failed-table serve: wrote the failed table"
+      exit 1
+    fi
+    cmp build/serve_b.base.csv build/serve_b.out.csv
+    cmp build/serve_c.base.csv build/serve_c.out.csv
+  done
+  echo "fault-sweep serve smoke: byte-identical, failed table isolated"
 }
 
 # Tracing records, never perturbs: --trace-out and --metrics-out armed
@@ -304,7 +326,10 @@ expect_rejected() {
 
 # Bad user input gets a typed error, never an abort or a silent success:
 # a header naming the cluster column twice (through both CLIs), a
-# non-numeric budget (flag and manifest field) and a zero retry budget.
+# non-numeric budget (flag and manifest field), a zero retry budget and
+# malformed or out-of-range numeric flags on all three CLIs. (--threads
+# is only probed with junk: a large valid value starts that many
+# threads.)
 leg_badinput() {
   build
   ./build/ustl-generate --dataset address --scale 0.02 \
@@ -332,6 +357,19 @@ leg_badinput() {
   expect_rejected "--retry-attempts" ./build/ustl-serve \
     --manifest build/badinput_ok.txt \
     --fault-plan "rate=0.5,fails=2,seed=7" --retry-attempts 0
+  expect_rejected "--threads" ./build/ustl-serve \
+    --manifest build/badinput_ok.txt --threads abc
+  expect_rejected "--deadline-ms" ./build/ustl-serve \
+    --manifest build/badinput_ok.txt --deadline-ms 5x
+  expect_rejected "--deadline-ms" ./build/ustl-serve \
+    --manifest build/badinput_ok.txt --deadline-ms 10000000000000
+  expect_rejected "--threads" ./build/ustl-consolidate \
+    --input build/badinput_ok.csv --output build/badinput_ok.out.csv \
+    --approve all --threads 2x
+  expect_rejected "--seed" ./build/ustl-generate --dataset address \
+    --scale 0.02 --seed abc --out build/badinput_seed.csv
+  expect_rejected "--scale" ./build/ustl-generate --dataset address \
+    --scale abc --out build/badinput_scale.csv
   echo "bad-input smoke: typed errors, no aborts"
 }
 

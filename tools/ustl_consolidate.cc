@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -150,6 +151,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A strictly parsed integer flag value in [low, high]; anything else
+    // is a malformed command line.
+    auto next_unsigned = [&](const char* flag, uint64_t low,
+                             uint64_t high) -> uint64_t {
+      const char* value = next(flag);
+      const std::optional<uint64_t> parsed = ParseUnsigned(value);
+      if (!parsed || *parsed < low || *parsed > high) {
+        std::fprintf(stderr,
+                     "%s must be an integer in [%llu, %llu], got '%s'\n", flag,
+                     static_cast<unsigned long long>(low),
+                     static_cast<unsigned long long>(high), value);
+        Usage();
+        std::exit(2);
+      }
+      return *parsed;
+    };
     if (std::strcmp(argv[i], "--input") == 0) {
       args.input = next("--input");
     } else if (std::strcmp(argv[i], "--cluster-col") == 0) {
@@ -165,18 +182,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--approve") == 0) {
       args.approve = next("--approve");
     } else if (std::strcmp(argv[i], "--budget") == 0) {
-      const char* value = next("--budget");
-      const std::optional<uint64_t> budget = ParseUnsigned(value);
-      if (!budget) {
-        std::fprintf(stderr,
-                     "--budget must be a non-negative integer, got '%s'\n",
-                     value);
-        Usage();
-        return 2;
-      }
-      args.budget = *budget;
+      args.budget =
+          next_unsigned("--budget", 0, std::numeric_limits<size_t>::max());
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      args.threads = std::atoi(next("--threads"));
+      args.threads = static_cast<int>(
+          next_unsigned("--threads", 0, std::numeric_limits<int>::max()));
     } else if (std::strcmp(argv[i], "--column-parallel") == 0) {
       args.column_parallel = true;
     } else if (std::strcmp(argv[i], "--oracle-cache") == 0) {

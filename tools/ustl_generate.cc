@@ -6,12 +6,19 @@
 //
 // The CSV has two columns: `cluster` (the entity key, e.g. the EIN/ISBN/
 // ISSN analog) and `value` (the attribute the paper standardizes).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <system_error>
 
 #include "common/parallel.h"
+#include "common/string_util.h"
 #include "datagen/generators.h"
 #include "io/csv.h"
 
@@ -57,28 +64,56 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A strictly parsed integer flag value in [low, high]; anything else
+    // is a malformed command line.
+    auto next_unsigned = [&](const char* flag, uint64_t low,
+                             uint64_t high) -> uint64_t {
+      const char* value = next(flag);
+      const std::optional<uint64_t> parsed = ParseUnsigned(value);
+      if (!parsed || *parsed < low || *parsed > high) {
+        std::fprintf(stderr,
+                     "%s must be an integer in [%llu, %llu], got '%s'\n", flag,
+                     static_cast<unsigned long long>(low),
+                     static_cast<unsigned long long>(high), value);
+        Usage();
+        std::exit(2);
+      }
+      return *parsed;
+    };
     if (std::strcmp(argv[i], "--dataset") == 0) {
       args.dataset = next("--dataset");
     } else if (std::strcmp(argv[i], "--scale") == 0) {
-      args.scale = std::atof(next("--scale"));
+      // The whole string must be a finite number above 0 (atof would
+      // read "abc" as 0 and "2x" as 2).
+      const char* value = next("--scale");
+      const char* end = value + std::strlen(value);
+      const std::from_chars_result parsed =
+          std::from_chars(value, end, args.scale);
+      if (parsed.ec != std::errc() || parsed.ptr != end ||
+          !std::isfinite(args.scale) || args.scale <= 0) {
+        std::fprintf(stderr, "--scale must be a number above 0, got '%s'\n",
+                     value);
+        Usage();
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      args.seed = std::strtoull(next("--seed"), nullptr, 10);
+      args.seed =
+          next_unsigned("--seed", 0, std::numeric_limits<uint64_t>::max());
     } else if (std::strcmp(argv[i], "--out") == 0) {
       args.out = next("--out");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      args.threads = std::atoi(next("--threads"));
+      args.threads = static_cast<int>(
+          next_unsigned("--threads", 0, std::numeric_limits<int>::max()));
     } else if (std::strcmp(argv[i], "--columns") == 0) {
-      args.columns = std::strtoull(next("--columns"), nullptr, 10);
+      args.columns = next_unsigned("--columns", 1, 1024);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       Usage();
       return 2;
     }
   }
-  // The upper bound also catches negative inputs wrapped by strtoull.
-  if (args.out.empty() || args.scale <= 0 || args.columns == 0 ||
-      args.columns > 1024) {
-    std::fprintf(stderr, "--columns must be in [1, 1024]\n");
+  if (args.out.empty()) {
+    std::fprintf(stderr, "--out is required\n");
     Usage();
     return 2;
   }

@@ -46,10 +46,13 @@
 // policy. SIGTERM/SIGINT trigger a graceful drain: in-flight tables
 // finish and are written, new submits are rejected with a typed
 // shutting_down status, the final snapshot and metrics scrape land
-// atomically, and the process exits 0. --crash-point kind:N arms a
-// kill-test failpoint (see persist/crash_point.h) that SIGKILLs the
-// process at an exact WAL/snapshot write boundary — the crash-recovery
-// CI leg uses it to prove recovery.
+// atomically, and the process exits 0. A table whose oracle calls fail
+// past the retry budget prints a status "error" line and is not
+// written; the other tables are still served and the process exits 1.
+// --crash-point kind:N arms a kill-test failpoint (see
+// persist/crash_point.h) that SIGKILLs the process at an exact
+// WAL/snapshot write boundary — the crash-recovery CI leg uses it to
+// prove recovery.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -217,6 +220,9 @@ void Usage() {
       "SIGTERM/SIGINT drain gracefully: in-flight tables finish and are\n"
       "written, new submits are rejected with status shutting_down, the\n"
       "final snapshot and metrics scrape land atomically, exit code 0.\n"
+      "A table whose oracle calls fail (retries exhausted, breaker open)\n"
+      "prints a status \"error\" line and is not written; the other\n"
+      "tables are still served, and the exit code is 1.\n"
       "\n"
       "Runs a manifest of tables concurrently through one long-lived\n"
       "consolidation service; per-table output is byte-identical to a\n"
@@ -232,25 +238,11 @@ int Fail(const Status& status) {
   return 1;
 }
 
-// Minimal JSON string escaping for event/summary lines (programs and
-// labels may contain quotes and backslashes).
-std::string JsonEscape(const std::string& s) {
+// `s` as a quoted JSON string for event/summary lines (programs, labels
+// and error messages may contain quotes and backslashes).
+std::string JsonString(const std::string& s) {
   std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
+  AppendJsonString(&out, s);
   return out;
 }
 
@@ -280,25 +272,24 @@ void PrintEvent(const ServeEvent& event) {
   // ts_us is microseconds since service construction — both scheduling-
   // dependent, so determinism comparisons must ignore them.
   std::printf("{\"event\": \"%s\", \"request\": %llu, \"seq\": %llu, "
-              "\"ts_us\": %lld, \"label\": \"%s\"",
+              "\"ts_us\": %lld, \"label\": %s",
               EventKindName(event.kind),
               static_cast<unsigned long long>(event.request),
               static_cast<unsigned long long>(event.seq),
               static_cast<long long>(event.ts_us),
-              JsonEscape(event.label).c_str());
+              JsonString(event.label).c_str());
   if (event.kind == ServeEvent::Kind::kVerdict) {
-    std::printf(", \"column\": \"%s\", \"presented\": %zu, \"size\": %zu, "
-                "\"approved\": %s, \"direction\": \"%s\", \"program\": "
-                "\"%s\"",
-                JsonEscape(event.column).c_str(), event.presented,
+    std::printf(", \"column\": %s, \"presented\": %zu, \"size\": %zu, "
+                "\"approved\": %s, \"direction\": \"%s\", \"program\": %s",
+                JsonString(event.column).c_str(), event.presented,
                 event.group_size, event.approved ? "true" : "false",
                 event.direction == ReplaceDirection::kLhsToRhs ? "lhs->rhs"
                                                                : "rhs->lhs",
-                JsonEscape(event.program).c_str());
+                JsonString(event.program).c_str());
   } else if (event.kind == ServeEvent::Kind::kColumnDone ||
              event.kind == ServeEvent::Kind::kRequestDone) {
     if (event.kind == ServeEvent::Kind::kColumnDone) {
-      std::printf(", \"column\": \"%s\"", JsonEscape(event.column).c_str());
+      std::printf(", \"column\": %s", JsonString(event.column).c_str());
     }
     std::printf(", \"presented\": %zu, \"approved\": %zu, \"edits\": %zu",
                 event.groups_presented, event.groups_approved, event.edits);
@@ -433,6 +424,9 @@ Result<std::vector<ManifestEntry>> ParseManifest(const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Millisecond flags stay below 2^31 - 1 (about 24.8 days), far from
+  // where a steady-clock deadline or wait interval could overflow.
+  constexpr uint64_t kMaxMs = std::numeric_limits<int32_t>::max();
   Args args;
   for (int i = 1; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
@@ -462,15 +456,17 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--manifest") == 0) {
       args.manifest = next("--manifest");
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      args.threads = std::atoi(next("--threads"));
+      args.threads = static_cast<int>(
+          next_unsigned("--threads", 0, std::numeric_limits<int>::max()));
     } else if (std::strcmp(argv[i], "--budget") == 0) {
       args.budget =
           next_unsigned("--budget", 0, std::numeric_limits<size_t>::max());
     } else if (std::strcmp(argv[i], "--repeat") == 0) {
-      args.repeat = std::strtoull(next("--repeat"), nullptr, 10);
+      args.repeat =
+          next_unsigned("--repeat", 1, std::numeric_limits<size_t>::max());
     } else if (std::strcmp(argv[i], "--max-cache-entries") == 0) {
-      args.max_cache_entries =
-          std::strtoull(next("--max-cache-entries"), nullptr, 10);
+      args.max_cache_entries = next_unsigned(
+          "--max-cache-entries", 0, std::numeric_limits<size_t>::max());
     } else if (std::strcmp(argv[i], "--oracle-cache") == 0) {
       args.oracle_cache = next("--oracle-cache");
     } else if (std::strcmp(argv[i], "--search-cache") == 0) {
@@ -478,7 +474,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--events") == 0) {
       args.events = true;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      args.deadline_ms = std::strtoll(next("--deadline-ms"), nullptr, 10);
+      args.deadline_ms = next_unsigned("--deadline-ms", 0, kMaxMs);
     } else if (std::strcmp(argv[i], "--fault-plan") == 0) {
       args.fault_plan = next("--fault-plan");
     } else if (std::strcmp(argv[i], "--retry-attempts") == 0) {
@@ -488,7 +484,7 @@ int main(int argc, char** argv) {
       args.metrics_out = next("--metrics-out");
     } else if (std::strcmp(argv[i], "--metrics-interval-ms") == 0) {
       args.metrics_interval_ms =
-          std::strtoll(next("--metrics-interval-ms"), nullptr, 10);
+          next_unsigned("--metrics-interval-ms", 0, kMaxMs);
     } else if (std::strcmp(argv[i], "--trace-out") == 0) {
       args.trace_out = next("--trace-out");
     } else if (std::strcmp(argv[i], "--persist-dir") == 0) {
@@ -500,19 +496,20 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--profile-out") == 0) {
       args.profile_out = next("--profile-out");
     } else if (std::strcmp(argv[i], "--trace-sample") == 0) {
-      args.trace_sample = std::strtoull(next("--trace-sample"), nullptr, 10);
+      args.trace_sample = next_unsigned("--trace-sample", 0,
+                                        std::numeric_limits<uint64_t>::max());
     } else if (std::strcmp(argv[i], "--flight-dump") == 0) {
       args.flight_dump = next("--flight-dump");
     } else if (std::strcmp(argv[i], "--stall-threshold-ms") == 0) {
       args.stall_threshold_ms =
-          std::strtoll(next("--stall-threshold-ms"), nullptr, 10);
+          next_unsigned("--stall-threshold-ms", 0, kMaxMs);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       Usage();
       return 2;
     }
   }
-  if (args.manifest.empty() || args.repeat == 0 ||
+  if (args.manifest.empty() ||
       (args.oracle_cache != "on" && args.oracle_cache != "off") ||
       (args.search_cache != "on" && args.search_cache != "off")) {
     Usage();
@@ -616,10 +613,10 @@ int main(int argc, char** argv) {
               entries->size(), args.repeat, service.workers());
   if (!args.persist_dir.empty()) {
     const PersistStats persist = service.stats().persist;
-    std::printf("{\"persist\": \"%s\", \"fsync\": \"%s\", "
+    std::printf("{\"persist\": %s, \"fsync\": \"%s\", "
                 "\"recovered_records\": %llu, "
                 "\"truncated_tail_bytes\": %llu}\n",
-                JsonEscape(args.persist_dir).c_str(), args.fsync.c_str(),
+                JsonString(args.persist_dir).c_str(), args.fsync.c_str(),
                 static_cast<unsigned long long>(persist.recovered_records),
                 static_cast<unsigned long long>(persist.truncated_tail_bytes));
   }
@@ -666,6 +663,7 @@ int main(int argc, char** argv) {
   }
 
   ServiceStats previous;  // cumulative stats at the last round boundary
+  bool failed_tables = false;  // some Wait rethrew a backend failure
   for (size_t round = 1; round <= args.repeat; ++round) {
     std::vector<ClusteredCsv> tables = originals;  // fresh copies
     std::vector<uint64_t> handles(entries->size());
@@ -688,13 +686,25 @@ int main(int argc, char** argv) {
     uint64_t warm_hits = 0;
     for (size_t t = 0; t < entries->size(); ++t) {
       const ManifestEntry& entry = (*entries)[t];
-      RequestResult result = service.Wait(handles[t]);
+      RequestResult result;
+      try {
+        result = service.Wait(handles[t]);
+      } catch (const std::exception& e) {
+        // A failed backend call fails only this table: report it, write
+        // nothing for it, keep serving the rest, and exit 1 at the end.
+        std::printf("{\"table\": %s, \"round\": %zu, \"status\": "
+                    "\"error\", \"error\": %s}\n",
+                    JsonString(entry.id).c_str(), round,
+                    JsonString(e.what()).c_str());
+        failed_tables = true;
+        continue;
+      }
       if (result.status != RequestStatus::kOk) {
         // Cancelled / past-deadline requests committed nothing; report
         // the typed status instead of writing an untouched table.
-        std::printf("{\"table\": \"%s\", \"round\": %zu, \"status\": "
+        std::printf("{\"table\": %s, \"round\": %zu, \"status\": "
                     "\"%s\"}\n",
-                    JsonEscape(entry.id).c_str(), round,
+                    JsonString(entry.id).c_str(), round,
                     RequestStatusName(result.status));
         continue;
       }
@@ -766,5 +776,5 @@ int main(int argc, char** argv) {
                              service.profiler()->WriteFolded());
     if (!status.ok()) return Fail(status);
   }
-  return 0;
+  return failed_tables ? 1 : 0;
 }
