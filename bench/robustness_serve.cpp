@@ -229,9 +229,7 @@ ObsRun RunObsWorkload(const Workload& workload, bool armed,
     identical = identical && scraped > 0;
   }
   run.byte_identical = identical;
-  if (service.flight_recorder() != nullptr) {
-    run.recorder_spans = service.flight_recorder()->recorded();
-  }
+  run.recorder_spans = service.flight_recorder()->recorded();
   if (service.profiler() != nullptr) {
     run.profile_folded = service.profiler()->folded_spans();
   }

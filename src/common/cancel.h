@@ -77,10 +77,16 @@ class CancelState {
  public:
   CancelState() = default;
 
-  /// Arms a deadline `ms` milliseconds from now. 0 = no deadline.
+  /// Arms a deadline `ms` milliseconds from now. 0 = no deadline. A
+  /// deadline past the steady clock's range can never trip, so it arms
+  /// nothing (now + ms would overflow the clock's nanosecond count).
   void SetDeadlineMs(int64_t ms) {
     if (ms <= 0) return;
-    deadline_ = Clock::now() + std::chrono::milliseconds(ms);
+    const Clock::time_point now = Clock::now();
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    if (ms >= headroom.count()) return;
+    deadline_ = now + std::chrono::milliseconds(ms);
     has_deadline_.store(true, std::memory_order_release);
   }
 

@@ -59,7 +59,7 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
   // MatchPos, then ConstPos.
   std::vector<std::vector<PosFn>> positions(n + 2);
   {
-    std::vector<std::vector<PosFn>> tier0(n + 2), tier2(n + 2);
+    std::vector<std::vector<PosFn>> tier0(n + 2);
     std::vector<std::pair<double, PosFn>> best_const(n + 2,
                                                      {0.0, PosFn::ConstPos(1)});
     std::vector<bool> has_const(n + 2, false);
@@ -108,95 +108,40 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
     }
 
     for (int k = 1; k <= n + 1; ++k) {
-      tier2[k].push_back(PosFn::ConstPos(k));
-      tier2[k].push_back(PosFn::ConstPos(k - n - 2));
-    }
-
-    for (int k = 1; k <= n + 1; ++k) {
       std::vector<PosFn>& out = positions[k];
-      if (options_.position_static_order) {
-        if (!tier0[k].empty()) {
-          out = tier0[k];
-        } else if (has_const[k]) {
-          out.push_back(best_const[k].second);
-        } else {
-          out = tier2[k];
-        }
+      if (!tier0[k].empty()) {
+        out = std::move(tier0[k]);
+      } else if (has_const[k]) {
+        out.push_back(best_const[k].second);
       } else {
-        out = tier0[k];
-        if (has_const[k]) out.push_back(best_const[k].second);
-        out.insert(out.end(), tier2[k].begin(), tier2[k].end());
+        out = {PosFn::ConstPos(k), PosFn::ConstPos(k - n - 2)};
       }
       std::sort(out.begin(), out.end());
     }
   }
 
-  // --- Constant and SubStr labels per edge (Algorithm 8 lines 13-18).
-  // Appendix-E pruning: with a scorer, ConstantStr(t[i,j)) is added only if
-  // no extension substring scores strictly higher. Scores for all (i, j)
-  // are precomputed, then extension maxima by prefix/suffix sweeps, so the
-  // check is O(1) per edge instead of O(|t|) scorer lookups.
-  const int width = m + 2;
-  auto at = [width](int i, int j) { return i * width + j; };
-  std::vector<double> score, left_ext_max, right_ext_max;
-  if (options_.scorer != nullptr) {
-    score.assign(width * width, 0.0);
-    left_ext_max = score;
-    right_ext_max = score;
-    for (int i = 1; i <= m; ++i) {
-      // Only class tokens score (TermScorer), so t[i, j) is looked up only
-      // while it stays inside one run of t[i]'s class; kOther tokens are
-      // single characters. Every other score is 0.
-      const CharClass c = ClassOf(t[i - 1]);
-      int run_end = i + 1;
-      if (c != CharClass::kOther) {
-        while (run_end <= m && ClassOf(t[run_end - 1]) == c) ++run_end;
-      }
-      for (int j = i + 1; j <= run_end; ++j) {
-        score[at(i, j)] = options_.scorer->Score(t.substr(i - 1, j - i));
-      }
-    }
-    // left_ext_max[i][j] = max over k < i of score[k][j].
-    for (int j = 2; j <= m + 1; ++j) {
-      double running = 0.0;
-      for (int i = 1; i < j; ++i) {
-        left_ext_max[at(i, j)] = running;
-        running = std::max(running, score[at(i, j)]);
-      }
-    }
-    // right_ext_max[i][j] = max over l > j of score[i][l].
-    for (int i = 1; i <= m; ++i) {
-      double running = 0.0;
-      for (int j = m + 1; j > i; --j) {
-        right_ext_max[at(i, j)] = running;
-        running = std::max(running, score[at(i, j)]);
-      }
-    }
-  }
-  auto const_allowed = [&](int i, int j) {
-    if (options_.scorer == nullptr) return true;
-    return left_ext_max[at(i, j)] <= score[at(i, j)] &&
-           right_ext_max[at(i, j)] <= score[at(i, j)];
-  };
-
-  // Class-token boundaries of t, for the token_aligned_labels restriction.
-  std::vector<bool> aligned(m + 2, !options_.token_aligned_labels);
-  if (options_.token_aligned_labels) {
-    for (const Token& token : ClassTokens(t)) aligned[token.begin] = true;
-    aligned[m + 1] = true;
-  }
-  auto edge_aligned = [&](int i, int j) {
-    if (i == 1 && j == m + 1) return true;  // completeness guarantee
-    return aligned[i] && aligned[j];
-  };
+  // --- Constant and SubStr labels per edge (Algorithm 8 lines 13-18), only
+  // on edges aligned with the class tokens of t (maximal character-class
+  // runs, one token per kOther character). Appendix E prefers
+  // token-structured constants over character fragments; aligning the
+  // edges keeps the path space at token granularity, which is what makes
+  // pivot search tractable on conflict-heavy structure groups. Positions 1
+  // and m + 1 are always boundaries, so the full-width edge is kept and
+  // every replacement has a path. Affix labels are not restricted
+  // (Street -> St needs the mid-token cut, Appendix D). Appendix E's
+  // pruning of a constant that a higher-scoring extension contains never
+  // drops one here: every extension of an aligned edge crosses a class
+  // boundary, and such a string scores 0 (TermScorer::Score).
+  std::vector<bool> aligned(m + 2, false);
+  for (const Token& token : ClassTokens(t)) aligned[token.begin] = true;
+  aligned[m + 1] = true;
 
   for (int i = 1; i <= m; ++i) {
+    if (!aligned[i]) continue;
     for (int j = i + 1; j <= m + 1; ++j) {
-      if (!edge_aligned(i, j)) continue;
+      if (!aligned[j]) continue;
       std::string_view u = t.substr(i - 1, j - i);
-      if (const_allowed(i, j)) {
-        graph.AddLabel(i, j, interner_->InternConstant(u));
-      }
+      graph.AddLabel(i, j, interner_->InternConstant(u));
       int label_budget = options_.max_substr_labels_per_edge;
       const int len = j - i;
       for (int x = 1; x + len <= n + 1 && label_budget > 0; ++x) {

@@ -18,23 +18,14 @@
 namespace ustl {
 
 /// Knobs for graph construction. Defaults reproduce the paper's
-/// configuration (affix extension on, static orders on).
+/// configuration (affix extension on). The static order of position
+/// functions (Section 7.4: at each position only the best tier available,
+/// regex MatchPos > constant-term MatchPos > ConstPos) and ConstantStr and
+/// SubStr labels on edges aligned with t's class tokens are not knobs:
+/// Build always works that way.
 struct GraphBuilderOptions {
   /// Adds Prefix/Suffix labels (Appendix D). Figure 10 ablates this.
   bool enable_affix = true;
-  /// Static order of position functions (Section 7.4): at each position
-  /// keep only the best tier available (regex MatchPos > constant-term
-  /// MatchPos > ConstPos).
-  bool position_static_order = true;
-  /// Restrict ConstantStr and SubStr labels to edges aligned with class
-  /// tokens of t (maximal character-class runs; the full-width edge is
-  /// always kept so every replacement has a path). Appendix E prefers
-  /// token-structured constants over character fragments; aligning the
-  /// edges keeps the path space at token granularity, which is what makes
-  /// pivot search tractable on conflict-heavy structure groups. Affix
-  /// labels are not restricted (Street -> St needs the mid-token cut,
-  /// Appendix D).
-  bool token_aligned_labels = true;
   /// Values longer than these get a trivial graph (single full-width
   /// ConstantStr edge) instead of a quadratic label set.
   int max_input_len = 96;
@@ -44,7 +35,7 @@ struct GraphBuilderOptions {
   /// labels.
   int max_substr_labels_per_edge = 32;
   /// Optional Appendix-E scorer: enables constant-term MatchPos positions
-  /// and prunes dominated ConstantStr labels. May be null.
+  /// (per position of s, the best-scoring class token of s). May be null.
   const TermScorer* scorer = nullptr;
 };
 

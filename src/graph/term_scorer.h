@@ -18,10 +18,11 @@ namespace ustl {
 class TermScorer {
  public:
   virtual ~TermScorer() = default;
-  /// Higher is better; 0 means "unknown token". Only class tokens may
-  /// score above 0: a string that spans two character classes, or two
-  /// kOther characters, scores 0, and the graph builder never asks
-  /// about one.
+  /// Higher is better; never negative, and 0 means "unknown token". Only
+  /// class tokens may score above 0: a string that spans two character
+  /// classes, or two kOther characters, scores 0. The graph builder asks
+  /// only about the class tokens of a replacement's source s, to pick
+  /// its constant-term positions.
   virtual double Score(std::string_view token) const = 0;
 };
 

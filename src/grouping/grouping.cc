@@ -153,10 +153,8 @@ SearchCacheKey HashSearchContext(const GroupingOptions& options,
   SearchKeyHasher hasher;
   const GraphBuilderOptions& graph = options.graph;
   hasher.U64(static_cast<uint64_t>(graph.enable_affix) |
-             static_cast<uint64_t>(graph.position_static_order) << 1 |
-             static_cast<uint64_t>(graph.token_aligned_labels) << 2 |
-             static_cast<uint64_t>(options.use_term_scorer) << 3 |
-             static_cast<uint64_t>(options.structure_refinement) << 4);
+             static_cast<uint64_t>(options.use_term_scorer) << 1 |
+             static_cast<uint64_t>(options.structure_refinement) << 2);
   hasher.U64(static_cast<uint64_t>(graph.max_input_len));
   hasher.U64(static_cast<uint64_t>(graph.max_output_len));
   hasher.U64(static_cast<uint64_t>(graph.max_substr_labels_per_edge));

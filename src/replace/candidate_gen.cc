@@ -66,14 +66,6 @@ void GenerateForCluster(const Column& column, size_t cluster,
                        set);
         }
       }
-      if (options.char_level) {
-        for (const AlignedSegment& seg : DamerauLevenshteinAlign(va, vb)) {
-          AddCandidate(seg.lhs, seg.rhs,
-                       Occurrence{cluster, a, seg.lhs_begin,
-                                  /*whole_value=*/false},
-                       set);
-        }
-      }
     }
   }
 }

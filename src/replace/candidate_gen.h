@@ -1,8 +1,7 @@
 // Candidate replacement generation (Section 3 step 1, Appendix A).
 // Full-value candidates pair every two non-identical values within a
 // cluster, in both directions. Token-level candidates come from the LCS
-// alignment of the whitespace tokens of such a pair; the optional
-// character-level mode uses the Damerau-Levenshtein alignment instead.
+// alignment of the whitespace tokens of such a pair.
 #ifndef USTL_REPLACE_CANDIDATE_GEN_H_
 #define USTL_REPLACE_CANDIDATE_GEN_H_
 
@@ -20,9 +19,6 @@ struct CandidateGenOptions {
   bool full_value_pairs = true;
   /// LCS-aligned token segments (Appendix A).
   bool token_level = true;
-  /// Damerau-Levenshtein-aligned character segments (Appendix A mentions
-  /// this alternative [11]); off by default as in the paper.
-  bool char_level = false;
   /// Cells longer than this are skipped entirely (graphs would be trivial
   /// anyway, and quadratic pair enumeration on huge cells is wasted work).
   size_t max_value_len = 256;

@@ -117,15 +117,11 @@ ConsolidationService::ConsolidationService(VerificationOracle* backend,
   if (options_.enable_profiler) {
     profiler_ = std::make_unique<ProfileAccumulator>();
   }
-  if (options_.enable_flight_recorder) {
-    recorder_ = std::make_unique<FlightRecorder>();
-  }
-  if (profiler_ != nullptr || recorder_ != nullptr) {
-    service_tee_ = std::make_unique<TeeTraceSink>(
-        std::vector<TraceSink*>{profiler_.get(), recorder_.get()});
-    service_trace_ =
-        std::make_unique<TraceContext>(service_tee_.get(), "service", epoch_);
-  }
+  recorder_ = std::make_unique<FlightRecorder>();
+  service_tee_ = std::make_unique<TeeTraceSink>(
+      std::vector<TraceSink*>{profiler_.get(), recorder_.get()});
+  service_trace_ =
+      std::make_unique<TraceContext>(service_tee_.get(), "service", epoch_);
   RegisterMetrics();
   if (!options_.persist_dir.empty()) {
     // The persist layer emits into the process-level context only — its
@@ -297,14 +293,12 @@ void ConsolidationService::RegisterMetrics() {
     active_requests->Set(static_cast<int64_t>(active_.size()));
     max_concurrent->Set(static_cast<int64_t>(max_concurrent_requests_));
   });
-  if (recorder_ != nullptr) {
-    Gauge* recorder_spans = metrics_.RegisterGauge(
-        "ustl_flight_recorder_spans", "Spans ever written to the ring");
-    FlightRecorder* recorder = recorder_.get();
-    metrics_.AddCollector([=] {
-      recorder_spans->Set(static_cast<int64_t>(recorder->recorded()));
-    });
-  }
+  Gauge* recorder_spans = metrics_.RegisterGauge(
+      "ustl_flight_recorder_spans", "Spans ever written to the ring");
+  FlightRecorder* recorder = recorder_.get();
+  metrics_.AddCollector([=] {
+    recorder_spans->Set(static_cast<int64_t>(recorder->recorded()));
+  });
   if (profiler_ != nullptr) {
     // Collectors run under the registry mutex and cannot register, so
     // every per-name gauge the profile could ever produce is registered
@@ -366,7 +360,7 @@ void ConsolidationService::Shutdown(bool drain) {
     const auto drained = [&] {
       return active_.empty() && running_jobs_ == 0 && admitting_ == 0;
     };
-    if (recorder_ != nullptr && options_.stall_threshold_ms > 0) {
+    if (options_.stall_threshold_ms > 0) {
       // A drain that outlives the stall threshold dumps the ring once —
       // the last chance to see what the stuck requests were doing — then
       // keeps waiting (the dump diagnoses the hang, it does not break it).
@@ -477,30 +471,27 @@ uint64_t ConsolidationService::Submit(Table* table, RequestOptions options) {
     }
   }
   // The diagnosis sinks (profiler, recorder) see every request's spans
-  // regardless of sampling; the tee fans one emission out to whichever
-  // of the three are live.
-  if (user_sink != nullptr || profiler_ != nullptr || recorder_ != nullptr) {
-    request->tee = std::make_unique<TeeTraceSink>(std::vector<TraceSink*>{
-        user_sink, profiler_ ? profiler_.get() : nullptr,
-        recorder_ ? recorder_.get() : nullptr});
-    // The trace request id suffixes the handle so it stays unique even
-    // when labels repeat (warm rounds resubmit the same table name).
-    request->trace = std::make_unique<TraceContext>(
-        request->tee.get(),
-        request->label + "#" + std::to_string(request->id), epoch_);
-    // Reserve span id 1 for the request root: every other span nests
-    // under it, and the root itself is emitted at finalize (interval
-    // [submit_time, finalize]) — consumers buffer and re-order on id.
-    request->root_span = request->trace->NextSpanId();
-    TraceSpan admission;
-    admission.request_id = request->trace->request_id();
-    admission.id = request->trace->NextSpanId();
-    admission.parent = request->root_span;
-    admission.name = "admission_wait";
-    admission.start_us = DurationMicros(epoch_, request->submit_time);
-    admission.end_us = request->trace->NowMicros();
-    request->trace->sink()->Emit(admission);
-  }
+  // regardless of sampling; the tee fans one emission out to the recorder
+  // and to whichever of the other two are live.
+  request->tee = std::make_unique<TeeTraceSink>(
+      std::vector<TraceSink*>{user_sink, profiler_.get(), recorder_.get()});
+  // The trace request id suffixes the handle so it stays unique even
+  // when labels repeat (warm rounds resubmit the same table name).
+  request->trace = std::make_unique<TraceContext>(
+      request->tee.get(),
+      request->label + "#" + std::to_string(request->id), epoch_);
+  // Reserve span id 1 for the request root: every other span nests
+  // under it, and the root itself is emitted at finalize (interval
+  // [submit_time, finalize]) — consumers buffer and re-order on id.
+  request->root_span = request->trace->NextSpanId();
+  TraceSpan admission;
+  admission.request_id = request->trace->request_id();
+  admission.id = request->trace->NextSpanId();
+  admission.parent = request->root_span;
+  admission.name = "admission_wait";
+  admission.start_us = DurationMicros(epoch_, request->submit_time);
+  admission.end_us = request->trace->NowMicros();
+  request->trace->sink()->Emit(admission);
 
   // Emitted before the request enters active_, so its event stream is
   // guaranteed to open with kAdmitted — a worker cannot pick (and emit
@@ -821,27 +812,24 @@ void ConsolidationService::FinalizeRequest(Request* request) {
   Emit(*request, std::move(event));
 
   request_duration_us_->Observe(MicrosSince(request->submit_time));
-  if (request->trace != nullptr) {
-    // The root span, emitted last with its reserved id 1 and the full
-    // [submit, finalize] interval; children were emitted as they closed.
-    TraceSpan root;
-    root.request_id = request->trace->request_id();
-    root.id = request->root_span;
-    root.parent = 0;
-    root.name = "request";
-    root.detail = request->label;
-    root.start_us = DurationMicros(epoch_, request->submit_time);
-    root.end_us = request->trace->NowMicros();
-    root.attrs.emplace_back("status", static_cast<int64_t>(request->status));
-    request->trace->sink()->Emit(root);
-  }
+  // The root span, emitted last with its reserved id 1 and the full
+  // [submit, finalize] interval; children were emitted as they closed.
+  TraceSpan root;
+  root.request_id = request->trace->request_id();
+  root.id = request->root_span;
+  root.parent = 0;
+  root.name = "request";
+  root.detail = request->label;
+  root.start_us = DurationMicros(epoch_, request->submit_time);
+  root.end_us = request->trace->NowMicros();
+  root.attrs.emplace_back("status", static_cast<int64_t>(request->status));
+  request->trace->sink()->Emit(root);
 
   // A request that ends badly dumps the ring while it is still in
   // active_, so the dump's per-request progress includes the culprit.
   // mutex_ is NOT held here (FireFlightDump takes it).
-  if (recorder_ != nullptr &&
-      (request->status == RequestStatus::kDeadlineExceeded ||
-       request->status == RequestStatus::kError)) {
+  if (request->status == RequestStatus::kDeadlineExceeded ||
+      request->status == RequestStatus::kError) {
     FireFlightDump(request->status == RequestStatus::kError
                        ? "error"
                        : "deadline_exceeded");
@@ -918,7 +906,7 @@ void ConsolidationService::EmitForRequestId(uint64_t id, ServeEvent event) {
 }
 
 size_t ConsolidationService::CheckStalls() {
-  if (recorder_ == nullptr || options_.stall_threshold_ms <= 0) return 0;
+  if (options_.stall_threshold_ms <= 0) return 0;
   const int64_t threshold_us = options_.stall_threshold_ms * 1000;
   size_t stalled = 0;
   {
@@ -940,7 +928,6 @@ size_t ConsolidationService::CheckStalls() {
 }
 
 void ConsolidationService::FireFlightDump(const char* reason) {
-  if (recorder_ == nullptr) return;
   // Subsystem stats first, each under its own lock, with mutex_ NOT held
   // (broker stats + persist stats take their own mutexes; taking them
   // under mutex_ would order locks against the dispatch path).

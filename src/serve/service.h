@@ -122,13 +122,6 @@ struct ServiceOptions {
   std::string persist_dir;
   /// Fsync policy / compaction thresholds for persist_dir.
   DurableState::Options persist;
-  /// Always-on flight recorder (obs/flight_recorder.h): every request —
-  /// traced or not — streams its closed spans into a fixed-size ring, so
-  /// a stalled / deadline-exceeded / errored request leaves post-hoc
-  /// trace evidence with zero pre-arming (the ring keeps FlightRecorder's
-  /// default 256 spans). Per-span cost is one mutex acquire + one slot
-  /// copy (priced by the obs_overhead bench gate).
-  bool enable_flight_recorder = true;
   /// A request active longer than this (milliseconds) is considered
   /// stalled: the next CheckStalls() call fires one flight-recorder dump
   /// for it (latched per request). Also bounds the Shutdown(drain) wait
@@ -348,7 +341,11 @@ class ConsolidationService {
   /// Read-only consumers: the CLI's --profile-out dump and tests.
   ProfileAccumulator* profiler() const { return profiler_.get(); }
 
-  /// The always-on flight recorder (null when disabled).
+  /// The always-on flight recorder: every request, traced or not, streams
+  /// its closed spans into a fixed-size ring (FlightRecorder's default 256
+  /// spans), so a stalled, deadline-exceeded or errored request leaves
+  /// post-hoc trace evidence with no pre-arming. Per-span cost is one
+  /// mutex acquire and one slot copy (priced by the obs_overhead gate).
   FlightRecorder* flight_recorder() const { return recorder_.get(); }
 
   /// Stall watchdog hook: scans admitted requests and fires one
@@ -384,10 +381,9 @@ class ConsolidationService {
     /// Submit entry time: start of the root trace span and of the
     /// admission-wait / request-duration histogram intervals.
     SteadyClock::time_point submit_time;
-    /// Per-request trace state (null = untraced AND no recorder /
-    /// profiler). The context outlives every span opened under it: jobs
-    /// hold the Request* until their column completes, and completion
-    /// precedes finalize.
+    /// Per-request trace state, made at Submit. The context outlives
+    /// every span opened under it: jobs hold the Request* until their
+    /// column completes, and completion precedes finalize.
     std::unique_ptr<TraceContext> trace;
     /// Fan-out the context emits into: the (sampled) user sink, the
     /// profiler and the flight recorder. Owned here so it lives as long
@@ -452,7 +448,6 @@ class ConsolidationService {
   /// Process-level span fan-out (profiler + recorder only, never a
   /// user's --trace-out sink) and the context the persist layer opens
   /// its wal_append / fsync / snapshot_write / compaction spans under.
-  /// Null when neither consumer is enabled.
   std::unique_ptr<TeeTraceSink> service_tee_;
   std::unique_ptr<TraceContext> service_trace_;
   /// Grouping threads per column job: every job gets budget / workers,

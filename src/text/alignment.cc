@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/status.h"
 #include "text/char_class.h"
 
 namespace ustl {
@@ -108,113 +107,6 @@ std::vector<AlignedSegment> TokenLcsAlign(std::string_view lhs,
     ri = mj + 1;
   }
   EmitGap(lhs, rhs, lt, rt, li, n, ri, m, &out);
-  return out;
-}
-
-int DamerauLevenshteinDistance(std::string_view a, std::string_view b) {
-  // Optimal string alignment variant: adjacent transpositions cost 1 and a
-  // transposed pair is not edited again.
-  size_t n = a.size(), m = b.size();
-  std::vector<std::vector<int>> d(n + 1, std::vector<int>(m + 1, 0));
-  for (size_t i = 0; i <= n; ++i) d[i][0] = static_cast<int>(i);
-  for (size_t j = 0; j <= m; ++j) d[0][j] = static_cast<int>(j);
-  for (size_t i = 1; i <= n; ++i) {
-    for (size_t j = 1; j <= m; ++j) {
-      int cost = a[i - 1] == b[j - 1] ? 0 : 1;
-      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
-                          d[i - 1][j - 1] + cost});
-      if (i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1]) {
-        d[i][j] = std::min(d[i][j], d[i - 2][j - 2] + 1);
-      }
-    }
-  }
-  return d[n][m];
-}
-
-std::vector<AlignedSegment> DamerauLevenshteinAlign(std::string_view lhs,
-                                                    std::string_view rhs) {
-  size_t n = lhs.size(), m = rhs.size();
-  std::vector<std::vector<int>> d(n + 1, std::vector<int>(m + 1, 0));
-  for (size_t i = 0; i <= n; ++i) d[i][0] = static_cast<int>(i);
-  for (size_t j = 0; j <= m; ++j) d[0][j] = static_cast<int>(j);
-  for (size_t i = 1; i <= n; ++i) {
-    for (size_t j = 1; j <= m; ++j) {
-      int cost = lhs[i - 1] == rhs[j - 1] ? 0 : 1;
-      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
-                          d[i - 1][j - 1] + cost});
-      if (i > 1 && j > 1 && lhs[i - 1] == rhs[j - 2] &&
-          lhs[i - 2] == rhs[j - 1]) {
-        d[i][j] = std::min(d[i][j], d[i - 2][j - 2] + 1);
-      }
-    }
-  }
-  // Backtrack, marking which (i, j) cells are on a "match" step; maximal
-  // non-match stretches on either side become aligned segments.
-  struct Step {
-    size_t i, j;
-    bool match;
-  };
-  std::vector<Step> steps;
-  size_t i = n, j = m;
-  while (i > 0 || j > 0) {
-    if (i > 1 && j > 1 && lhs[i - 1] == rhs[j - 2] &&
-        lhs[i - 2] == rhs[j - 1] && d[i][j] == d[i - 2][j - 2] + 1) {
-      steps.push_back(Step{i, j, false});
-      steps.push_back(Step{i - 1, j - 1, false});
-      i -= 2;
-      j -= 2;
-    } else if (i > 0 && j > 0 &&
-               d[i][j] == d[i - 1][j - 1] + (lhs[i - 1] == rhs[j - 1] ? 0 : 1)) {
-      steps.push_back(Step{i, j, lhs[i - 1] == rhs[j - 1]});
-      --i;
-      --j;
-    } else if (i > 0 && d[i][j] == d[i - 1][j] + 1) {
-      steps.push_back(Step{i, 0, false});
-      --i;
-    } else {
-      USTL_CHECK(j > 0);
-      steps.push_back(Step{0, j, false});
-      --j;
-    }
-  }
-  std::reverse(steps.begin(), steps.end());
-
-  std::vector<AlignedSegment> out;
-  // Sweep steps, accumulating spans of non-match operations.
-  size_t lhs_lo = 0, lhs_hi = 0, rhs_lo = 0, rhs_hi = 0;  // 0-based [lo, hi)
-  bool open = false;
-  size_t li = 0, rj = 0;  // consumed prefix lengths
-  auto flush = [&]() {
-    if (!open) return;
-    open = false;
-    std::string l(lhs.substr(lhs_lo, lhs_hi - lhs_lo));
-    std::string r(rhs.substr(rhs_lo, rhs_hi - rhs_lo));
-    if (!l.empty() && !r.empty() && l != r) {
-      out.push_back(AlignedSegment{std::move(l), std::move(r),
-                                   static_cast<int>(lhs_lo) + 1,
-                                   static_cast<int>(rhs_lo) + 1});
-    }
-  };
-  for (const Step& st : steps) {
-    size_t consumed_l = st.i > 0 ? 1 : 0;
-    size_t consumed_r = st.j > 0 ? 1 : 0;
-    if (st.match) {
-      flush();
-    } else {
-      if (!open) {
-        open = true;
-        lhs_lo = li;
-        lhs_hi = li;
-        rhs_lo = rj;
-        rhs_hi = rj;
-      }
-      lhs_hi = li + consumed_l;
-      rhs_hi = rj + consumed_r;
-    }
-    li += consumed_l;
-    rj += consumed_r;
-  }
-  flush();
   return out;
 }
 

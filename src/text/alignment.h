@@ -3,9 +3,8 @@
 // TokenLcsAlign splits both values into whitespace tokens, computes their
 // longest common subsequence, and emits each maximal pair of aligned
 // non-identical token runs as a segment pair ("9" ~ "9th",
-// "Wisconsin" ~ "WI"). DamerauLevenshteinAlign does the analogous
-// character-level alignment via an optimal edit script (transpositions
-// included), following the alternative in [11]/[41] the appendix mentions.
+// "Wisconsin" ~ "WI"). It is the only aligner: candidate generation pairs
+// whole values and these token segments, as in the paper.
 #ifndef USTL_TEXT_ALIGNMENT_H_
 #define USTL_TEXT_ALIGNMENT_H_
 
@@ -36,15 +35,6 @@ struct AlignedSegment {
 /// non-empty different strings.
 std::vector<AlignedSegment> TokenLcsAlign(std::string_view lhs,
                                           std::string_view rhs);
-
-/// Character-level alignment from an optimal Damerau-Levenshtein edit
-/// script: maximal runs of non-match operations become segment pairs.
-std::vector<AlignedSegment> DamerauLevenshteinAlign(std::string_view lhs,
-                                                    std::string_view rhs);
-
-/// The Damerau-Levenshtein distance (adjacent transpositions count 1).
-/// Exposed for tests and for similarity gating in candidate generation.
-int DamerauLevenshteinDistance(std::string_view a, std::string_view b);
 
 /// Longest common subsequence length over whitespace tokens. Exposed for
 /// tests and datagen sanity checks.

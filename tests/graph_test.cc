@@ -3,10 +3,17 @@
 // static orders (Appendix E) and the term scorer.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "dsl/program.h"
 #include "graph/graph_builder.h"
 #include "graph/term_scorer.h"
 #include "graph/transformation_graph.h"
+#include "text/terms.h"
 
 namespace ustl {
 namespace {
@@ -210,8 +217,8 @@ TEST_F(GraphBuilderTest, OversizedValuesGetTrivialGraph) {
 }
 
 TEST_F(GraphBuilderTest, TokenAlignedLabelsRestrictConstEdges) {
-  // With alignment on (default), "9th" has token boundary between "9" and
-  // "th"; the unaligned edge inside "th" carries no ConstantStr label.
+  // "9th" has a token boundary between "9" and "th"; the unaligned edge
+  // inside "th" carries no ConstantStr label.
   GraphBuilder builder(GraphBuilderOptions{}, &interner_);
   auto g = builder.Build("9", "9th");
   ASSERT_TRUE(g.ok());
@@ -224,16 +231,6 @@ TEST_F(GraphBuilderTest, TokenAlignedLabelsRestrictConstEdges) {
       EXPECT_NE(fn.kind(), StringFn::Kind::kConstantStr);
     }
   }
-}
-
-TEST_F(GraphBuilderTest, EdgeCountQuadraticWithoutAlignment) {
-  GraphBuilderOptions options;
-  options.token_aligned_labels = false;
-  GraphBuilder builder(options, &interner_);
-  auto g = builder.Build("ab", "xyz");
-  ASSERT_TRUE(g.ok());
-  // All 6 edges of a 4-node DAG carry at least the ConstantStr label.
-  EXPECT_EQ(g->EdgeCount(), 6u);
 }
 
 // --- Term scorer (Appendix E). ---
@@ -268,11 +265,12 @@ TEST(TermScorerTest, GloballyCommonTokensAreDamped) {
   EXPECT_LT(scorer.Score("a"), scorer.Score("rare"));
 }
 
-// Appendix-E constant pruning needs unaligned edges: a token-aligned
-// constant's extensions all cross a class boundary and score 0.
-// ConstantStr("stree") and ConstantStr("treet") extend to the scoring
-// token "street", so they are dropped; "street" and "main" stay.
-TEST(TermScorerTest, PrunesConstantsInsideAHigherScoringToken) {
+// Constants inside a higher-scoring token never appear: ConstantStr labels
+// sit only on edges aligned with t's class tokens, so the fragments
+// "stree" and "treet" of the scoring token "street" get no edge, while
+// "street" and "main" do. Appendix E's pruning of dominated constants
+// has nothing left to drop.
+TEST(TermScorerTest, AlignedLabelsKeepConstantsToWholeTokens) {
   CorpusFrequency global;
   FrequencyTermScorer scorer(&global);
   for (int i = 0; i < 10; ++i) {
@@ -280,7 +278,6 @@ TEST(TermScorerTest, PrunesConstantsInsideAHigherScoringToken) {
     scorer.AddStructureString("main street");
   }
   GraphBuilderOptions options;
-  options.token_aligned_labels = false;
   options.scorer = &scorer;
   LabelInterner interner;
   GraphBuilder builder(options, &interner);
@@ -290,6 +287,38 @@ TEST(TermScorerTest, PrunesConstantsInsideAHigherScoringToken) {
   EXPECT_TRUE(interner.Lookup(StringFn::ConstantStr("main"), &id));
   EXPECT_FALSE(interner.Lookup(StringFn::ConstantStr("stree"), &id));
   EXPECT_FALSE(interner.Lookup(StringFn::ConstantStr("treet"), &id));
+}
+
+// Remembers every string the builder asks about; every token scores 1.
+class RecordingScorer : public TermScorer {
+ public:
+  double Score(std::string_view token) const override {
+    asked.emplace_back(token);
+    return 1.0;
+  }
+  mutable std::vector<std::string> asked;
+};
+
+// The scorer only picks constant-term positions of s, so the builder asks
+// it about the class tokens of s and never about a substring of t.
+TEST(TermScorerTest, BuilderAsksOnlyAboutSourceTokens) {
+  RecordingScorer scorer;
+  GraphBuilderOptions options;
+  options.scorer = &scorer;
+  LabelInterner interner;
+  GraphBuilder builder(options, &interner);
+  for (auto [s, t] : std::vector<std::pair<std::string, std::string>>{
+           {"Lee, Mary", "M. Lee"}, {"Street", "St"}}) {
+    scorer.asked.clear();
+    ASSERT_TRUE(builder.Build(s, t).ok());
+    std::set<std::string> source_tokens;
+    for (const Token& token : ClassTokens(s)) source_tokens.insert(token.text);
+    EXPECT_FALSE(scorer.asked.empty());
+    for (const std::string& token : scorer.asked) {
+      EXPECT_EQ(source_tokens.count(token), 1u)
+          << s << " -> " << t << ": asked about \"" << token << "\"";
+    }
+  }
 }
 
 TEST(CorpusFrequencyTest, CountsClassTokens) {

@@ -12,6 +12,7 @@
 #include "grouping/grouping.h"
 #include "grouping/oneshot.h"
 #include "grouping/pivot_search.h"
+#include "text/terms.h"
 
 namespace ustl {
 namespace {
@@ -88,12 +89,29 @@ TEST_P(GraphPropertyTest, GraphIsAcyclicForwardOnly) {
   if (pair.lhs == pair.rhs) return;
   auto graph = builder.Build(pair.lhs, pair.rhs);
   ASSERT_TRUE(graph.ok());
+  // ConstantStr and SubStr labels sit only on edges between class-token
+  // boundaries of t, or on the full-width edge.
+  std::set<int> boundaries = {graph->last_node()};
+  for (const Token& token : ClassTokens(pair.rhs)) {
+    boundaries.insert(token.begin);
+  }
   for (int node = 1; node <= graph->num_nodes(); ++node) {
     for (const GraphEdge& edge : graph->edges_from(node)) {
       EXPECT_GT(edge.to, node);
       EXPECT_LE(edge.to, graph->num_nodes());
       EXPECT_FALSE(edge.labels.empty());
       EXPECT_TRUE(std::is_sorted(edge.labels.begin(), edge.labels.end()));
+      const bool aligned =
+          (node == 1 && edge.to == graph->last_node()) ||
+          (boundaries.count(node) == 1 && boundaries.count(edge.to) == 1);
+      for (LabelId label : edge.labels) {
+        const StringFn::Kind kind = interner.Get(label).kind();
+        if (kind == StringFn::Kind::kConstantStr ||
+            kind == StringFn::Kind::kSubStr) {
+          EXPECT_TRUE(aligned) << pair.lhs << " -> " << pair.rhs << " edge "
+                               << node << "->" << edge.to;
+        }
+      }
     }
   }
 }

@@ -69,16 +69,6 @@ TEST(CandidateGenTest, TokenOccurrenceOffsets) {
   EXPECT_FALSE(set.occurrences[index][0].whole_value);
 }
 
-TEST(CandidateGenTest, CharLevelAlignment) {
-  Column column = {{"9 St", "8 St"}};
-  CandidateGenOptions options;
-  options.full_value_pairs = false;
-  options.token_level = false;
-  options.char_level = true;
-  CandidateSet set = GenerateCandidates(column, options);
-  EXPECT_NE(set.Find("9", "8"), static_cast<size_t>(-1));
-}
-
 TEST(CandidateGenTest, LongValuesSkipped) {
   CandidateGenOptions options;
   options.max_value_len = 4;

@@ -6,6 +6,8 @@
 // lives in serve_test.cc; this file pins the building blocks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,6 +65,19 @@ TEST(CancelStateTest, DeadlineLatchesOnPoll) {
   // Latched: a later explicit Cancel cannot repaint the cause.
   state.Cancel(RequestStatus::kCancelled);
   EXPECT_EQ(token.Poll(), RequestStatus::kDeadlineExceeded);
+}
+
+TEST(CancelStateTest, DeadlineBeyondTheClockNeverTrips) {
+  // Both overflow now + ms on the steady clock's nanosecond count; such a
+  // deadline can never pass, so the request keeps working.
+  for (int64_t ms : {int64_t{10'000'000'000'000},
+                     std::numeric_limits<int64_t>::max()}) {
+    CancelState state;
+    state.SetDeadlineMs(ms);
+    CancelToken token(&state);
+    EXPECT_EQ(token.Poll(), RequestStatus::kOk) << ms;
+    EXPECT_NO_THROW(token.Check());
+  }
 }
 
 TEST(CancelTokenTest, DefaultTokenIsInert) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -574,6 +575,23 @@ TEST(ServiceFaultToleranceTest, DeadlineExceededReturnsTypedStatus) {
   EXPECT_EQ(ok.status, RequestStatus::kOk);
 }
 
+TEST(ServiceFaultToleranceTest, DeadlineBeyondTheClockRunsToCompletion) {
+  // A deadline too far out for the steady clock can never pass: the
+  // request runs as if it had none, byte-identical to the serial run.
+  ApproveAllOracle oracle;
+  ServiceOptions options;
+  options.framework = TestFramework();
+  ConsolidationService service(&oracle, options);
+  Table table = MakeTable("Far", 1, 4);
+  const std::string baseline = SerialFingerprint(table);
+  RequestOptions request;
+  request.deadline_ms = std::numeric_limits<int64_t>::max();
+  RequestResult result = service.Wait(service.Submit(&table, request));
+  EXPECT_EQ(result.status, RequestStatus::kOk);
+  EXPECT_EQ(FingerprintConsolidation(table, result.golden_records), baseline);
+  EXPECT_EQ(service.stats().requests_deadline_exceeded, 0u);
+}
+
 TEST(ServiceFaultToleranceTest, ExhaustedRetriesFailOnlyTheAskingRequest) {
   // A persistently faulty backend exhausts the poisoned request's
   // retries; the clean request sharing the service (and the broker
@@ -799,10 +817,10 @@ TEST(ServiceObservabilityTest, EventsCarryMonotonicSeqAndTimestamps) {
 }
 
 TEST(ServiceObservabilityTest, RecorderAndProfilerNeverPerturbOutput) {
-  // ISSUE 10 acceptance at test scope: with the flight recorder AND the
-  // profiler on (the always-on diagnosis configuration), a traced run
-  // still produces byte-identical tables and identical backend traffic
-  // vs a run with the whole diagnosis layer off, across thread counts.
+  // With the profiler on and a trace sink attached, on top of the
+  // always-on flight recorder, a run still produces tables byte-identical
+  // to the serial pipeline run (which has no recorder at all) and the
+  // same backend traffic as a run with neither, across thread counts.
   const std::vector<Table> originals = {MakeTable("Oak", 1, 6),
                                         MakeTable("Pine", 2, 5)};
   std::vector<std::string> baselines;
@@ -816,7 +834,6 @@ TEST(ServiceObservabilityTest, RecorderAndProfilerNeverPerturbOutput) {
       ServiceOptions options;
       options.framework = TestFramework();
       options.num_threads = threads;
-      options.enable_flight_recorder = diagnosed == 1;
       options.enable_profiler = diagnosed == 1;
       ApproveAllOracle oracle;
       ConsolidationService service(&oracle, options);

@@ -186,33 +186,5 @@ TEST(AlignmentTest, LcsLength) {
   EXPECT_EQ(TokenLcsLength("a b c", "a b c"), 3);
 }
 
-TEST(DamerauLevenshteinTest, Distances) {
-  EXPECT_EQ(DamerauLevenshteinDistance("", ""), 0);
-  EXPECT_EQ(DamerauLevenshteinDistance("abc", "abc"), 0);
-  EXPECT_EQ(DamerauLevenshteinDistance("abc", "abd"), 1);
-  EXPECT_EQ(DamerauLevenshteinDistance("abc", "acb"), 1);  // transposition
-  EXPECT_EQ(DamerauLevenshteinDistance("abc", ""), 3);
-  EXPECT_EQ(DamerauLevenshteinDistance("kitten", "sitting"), 3);
-}
-
-TEST(DamerauLevenshteinTest, AlignExtractsEditedRuns) {
-  auto segments = DamerauLevenshteinAlign("Wisconsin Ave", "Wisconsin Avenue");
-  // The edit is a pure insertion ("nue" appended); no two-sided segment.
-  // A substitution run does produce one:
-  segments = DamerauLevenshteinAlign("9 St", "8 St");
-  ASSERT_EQ(segments.size(), 1u);
-  EXPECT_EQ(segments[0].lhs, "9");
-  EXPECT_EQ(segments[0].rhs, "8");
-}
-
-TEST(DamerauLevenshteinTest, AlignOffsets) {
-  auto segments = DamerauLevenshteinAlign("ab XY cd", "ab ZW cd");
-  ASSERT_EQ(segments.size(), 1u);
-  EXPECT_EQ(segments[0].lhs, "XY");
-  EXPECT_EQ(segments[0].rhs, "ZW");
-  EXPECT_EQ(segments[0].lhs_begin, 4);
-  EXPECT_EQ(segments[0].rhs_begin, 4);
-}
-
 }  // namespace
 }  // namespace ustl

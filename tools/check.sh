@@ -392,10 +392,40 @@ leg_bench() {
 # fails unless the exact work counters repeat in every pass. The
 # benchmark calls library APIs directly (GraphBuilder::BuildBatch,
 # InvertedIndex::Build), so this is the leg that notices when a library
-# change breaks it.
+# change breaks it. The run's work is pinned too: each counter
+# layer_diff.py holds exact on paper3_serial (EXACT_ON_SERIAL) must read
+# its value below. A change that moves the work updates the pins in its
+# own diff.
 leg_perfbench() {
+  mkdir -p .bench_build
   python3 perfbench/run.py --workload paper3_serial --seed 7 --seconds 1 \
-    --trace 1
+    --trace 1 > .bench_build/perfbench_serial.out
+  python3 -B - .bench_build/perfbench_serial.out <<'PY'
+import json
+import sys
+
+sys.path.insert(0, "perfbench")
+from layer_diff import EXACT_ON_SERIAL
+
+PINNED = {
+    "grouping.searches": 4248, "grouping.expansions": 995332,
+    "grouping.cache_hits": 151, "pipeline.questions": 129,
+    "pipeline.backend_calls": 129, "replace.pairs": 4430,
+    "replace.edits": 581, "graph.graphs": 4430, "graph.labels": 330451,
+    "index.postings": 1277175,
+}
+with open(sys.argv[1], encoding="utf-8") as handle:
+    metrics = json.loads(handle.read().splitlines()[-1])["metrics"]
+bad = []
+for name in EXACT_ON_SERIAL:
+    observed = metrics.get(name, {}).get("value")
+    if observed != PINNED.get(name):
+        bad.append(f"{name}: pinned {PINNED.get(name)}, observed {observed}")
+if bad:
+    print("perfbench: paper3_serial work moved\n  " + "\n  ".join(bad))
+    sys.exit(1)
+print(f"perfbench: paper3_serial work matches {len(EXACT_ON_SERIAL)} pins")
+PY
 }
 
 # The wave scans, the thread pool, the service, the retry/cancel
