@@ -2,8 +2,6 @@
 
 #include <functional>
 
-#include "common/status.h"
-
 namespace ustl {
 namespace {
 
@@ -15,129 +13,239 @@ uint64_t Mix(uint64_t hash, uint64_t value) {
   return hash ^ (hash >> 32);
 }
 
-uint64_t MixBytes(uint64_t hash, std::string_view bytes) {
-  return Mix(hash, std::hash<std::string_view>{}(bytes));
+constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
+
+uint64_t HashString(std::string_view value) {
+  return Mix(kSeed, std::hash<std::string_view>{}(value));
 }
 
-// Packs the small fields of a function or position into one word: kind
-// tags in the low byte, the class in the next, k in the high half.
-uint64_t Pack(uint64_t tags, CharClass c, int k) {
-  return tags | (uint64_t{static_cast<uint8_t>(c)} << 8) |
-         (uint64_t{static_cast<uint32_t>(k)} << 32);
-}
-
-uint64_t MixPosFn(uint64_t hash, const PosFn& pos) {
-  if (pos.is_const_pos()) {
-    return Mix(hash, Pack(0, CharClass::kDigit, pos.k()));
+// The slot of `slots` holding the id that satisfies `equal`, or the empty
+// slot where such an id would go.
+template <typename Equal>
+size_t Probe(const std::vector<uint32_t>& slots, uint64_t hash,
+             const Equal& equal) {
+  const size_t mask = slots.size() - 1;
+  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+    const uint32_t id = slots[slot];
+    if (id == UINT32_MAX || equal(id)) return slot;
   }
+}
+
+// Seats the new `id` in its empty `slot`. When that fills the table past
+// half, doubles it and re-seats ids 0 .. id by hash_of(id).
+template <typename HashOf>
+void Seat(std::vector<uint32_t>* slots, size_t slot, uint32_t id,
+          const HashOf& hash_of) {
+  (*slots)[slot] = id;
+  const size_t count = static_cast<size_t>(id) + 1;
+  if (2 * count <= slots->size()) return;
+  slots->assign(2 * slots->size(), UINT32_MAX);
+  const size_t mask = slots->size() - 1;
+  for (uint32_t other = 0; other < count; ++other) {
+    size_t at = hash_of(other) & mask;
+    while ((*slots)[at] != UINT32_MAX) at = (at + 1) & mask;
+    (*slots)[at] = other;
+  }
+}
+
+}  // namespace
+
+uint64_t LabelInterner::HashPos(const Pos& pos) {
+  const uint64_t fields =
+      pos.tag | (uint64_t{static_cast<uint8_t>(pos.dir)} << 8) |
+      (uint64_t{static_cast<uint8_t>(pos.regex_class)} << 16) |
+      (uint64_t{static_cast<uint32_t>(pos.k)} << 32);
+  return Mix(Mix(kSeed, fields), pos.literal);
+}
+
+uint64_t LabelInterner::HashLabel(const Label& label) {
+  return Mix(Mix(kSeed, static_cast<uint64_t>(label.kind)),
+             label.a | (uint64_t{label.b} << 32));
+}
+
+std::string_view LabelInterner::pool_string(uint32_t id) const {
+  const uint32_t begin = id == 0 ? 0 : string_ends_[id - 1];
+  return std::string_view(string_bytes_)
+      .substr(begin, string_ends_[id] - begin);
+}
+
+size_t LabelInterner::StringSlot(std::string_view value) const {
+  return Probe(string_slots_, HashString(value),
+               [&](uint32_t id) { return pool_string(id) == value; });
+}
+
+size_t LabelInterner::PosSlot(const Pos& pos) const {
+  return Probe(pos_slots_, HashPos(pos),
+               [&](uint32_t id) { return positions_[id] == pos; });
+}
+
+size_t LabelInterner::LabelSlot(const Label& label) const {
+  return Probe(label_slots_, HashLabel(label),
+               [&](uint32_t id) { return labels_[id] == label; });
+}
+
+uint32_t LabelInterner::InternString(std::string_view value) {
+  const size_t slot = StringSlot(value);
+  if (string_slots_[slot] != kEmptySlot) return string_slots_[slot];
+  USTL_CHECK(string_bytes_.size() + value.size() <= UINT32_MAX);
+  const uint32_t id = static_cast<uint32_t>(string_ends_.size());
+  string_bytes_.append(value);
+  string_ends_.push_back(static_cast<uint32_t>(string_bytes_.size()));
+  Seat(&string_slots_, slot, id,
+       [this](uint32_t other) { return HashString(pool_string(other)); });
+  return id;
+}
+
+LabelInterner::PosId LabelInterner::InternPosRecord(const Pos& pos) {
+  const size_t slot = PosSlot(pos);
+  if (pos_slots_[slot] != kEmptySlot) return pos_slots_[slot];
+  const PosId id = static_cast<PosId>(positions_.size());
+  positions_.push_back(pos);
+  Seat(&pos_slots_, slot, id,
+       [this](uint32_t other) { return HashPos(positions_[other]); });
+  return id;
+}
+
+LabelId LabelInterner::InternLabel(const Label& label) {
+  const size_t slot = LabelSlot(label);
+  if (label_slots_[slot] != kEmptySlot) return label_slots_[slot];
+  const LabelId id = static_cast<LabelId>(labels_.size());
+  labels_.push_back(label);
+  Seat(&label_slots_, slot, id,
+       [this](uint32_t other) { return HashLabel(labels_[other]); });
+  return id;
+}
+
+LabelInterner::PosId LabelInterner::InternConstPos(int k) {
+  return InternPosRecord(
+      Pos{Pos::kConstPos, Dir::kBegin, CharClass::kDigit, k, 0});
+}
+
+LabelInterner::PosId LabelInterner::InternMatchPos(CharClass regex_class,
+                                                   int k, Dir dir) {
+  return InternPosRecord(Pos{Pos::kRegex, dir, regex_class, k, 0});
+}
+
+LabelInterner::PosId LabelInterner::InternMatchPos(std::string_view literal,
+                                                   int k, Dir dir) {
+  return InternPosRecord(
+      Pos{Pos::kLiteral, dir, CharClass::kDigit, k, InternString(literal)});
+}
+
+LabelInterner::PosId LabelInterner::InternPos(const PosFn& pos) {
+  if (pos.is_const_pos()) return InternConstPos(pos.k());
   const Term& term = pos.term();
-  const uint64_t tags = 1 | (pos.dir() == Dir::kEnd ? 2 : 0) |
-                        (term.is_regex() ? 4 : 0);
-  hash = Mix(hash, Pack(tags, term.char_class(), pos.k()));
-  return term.is_regex() ? hash : MixBytes(hash, term.literal());
+  if (term.is_regex()) {
+    return InternMatchPos(term.char_class(), pos.k(), pos.dir());
+  }
+  return InternMatchPos(term.literal(), pos.k(), pos.dir());
 }
 
-uint64_t KindSeed(StringFn::Kind kind) {
-  return Mix(0x9e3779b97f4a7c15ULL, static_cast<uint64_t>(kind));
+LabelId LabelInterner::InternConstant(std::string_view value) {
+  return InternLabel(
+      Label{StringFn::Kind::kConstantStr, InternString(value), 0});
 }
 
-uint64_t HashConstant(std::string_view value) {
-  return MixBytes(KindSeed(StringFn::Kind::kConstantStr), value);
+LabelId LabelInterner::InternSubStr(PosId left, PosId right) {
+  return InternLabel(Label{StringFn::Kind::kSubStr, left, right});
 }
 
-uint64_t HashSubStr(const PosFn& left, const PosFn& right) {
-  return MixPosFn(MixPosFn(KindSeed(StringFn::Kind::kSubStr), left), right);
+LabelId LabelInterner::InternAffix(StringFn::Kind kind, CharClass regex_class,
+                                   int k) {
+  return InternLabel(Label{kind, static_cast<uint32_t>(regex_class),
+                           static_cast<uint32_t>(k)});
 }
 
-uint64_t HashStringFn(const StringFn& fn) {
+LabelId LabelInterner::Intern(const StringFn& fn) {
   switch (fn.kind()) {
     case StringFn::Kind::kConstantStr:
-      return HashConstant(fn.constant());
+      return InternConstant(fn.constant());
     case StringFn::Kind::kSubStr:
-      return HashSubStr(fn.left(), fn.right());
+      return InternSubStr(InternPos(fn.left()), InternPos(fn.right()));
     case StringFn::Kind::kPrefix:
     case StringFn::Kind::kSuffix:
       break;
   }
   // Affix terms are always regex terms.
-  return Mix(KindSeed(fn.kind()), Pack(0, fn.term().char_class(), fn.k()));
+  return InternAffix(fn.kind(), fn.term().char_class(), fn.k());
 }
 
-}  // namespace
-
-template <typename Equal>
-size_t LabelInterner::Probe(uint64_t hash, const Equal& equal) const {
-  const size_t mask = slots_.size() - 1;
-  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
-    const LabelId id = slots_[slot];
-    if (id == kEmptySlot || (hashes_[id] == hash && equal(fns_[id]))) {
-      return slot;
+bool LabelInterner::FindPos(const PosFn& pos, PosId* id) const {
+  Pos record{Pos::kConstPos, Dir::kBegin, CharClass::kDigit, pos.k(), 0};
+  if (pos.is_match_pos()) {
+    const Term& term = pos.term();
+    record.dir = pos.dir();
+    if (term.is_regex()) {
+      record.tag = Pos::kRegex;
+      record.regex_class = term.char_class();
+    } else {
+      const size_t literal = StringSlot(term.literal());
+      if (string_slots_[literal] == kEmptySlot) return false;
+      record.tag = Pos::kLiteral;
+      record.literal = string_slots_[literal];
     }
   }
+  const size_t slot = PosSlot(record);
+  *id = pos_slots_[slot];
+  return *id != kEmptySlot;
 }
 
-template <typename Make>
-LabelId LabelInterner::InternAt(size_t slot, uint64_t hash,
-                                const Make& make) {
-  if (slots_[slot] != kEmptySlot) return slots_[slot];
-  const LabelId id = static_cast<LabelId>(fns_.size());
-  slots_[slot] = id;
-  fns_.push_back(make());
-  hashes_.push_back(hash);
-  if (2 * fns_.size() > slots_.size()) Grow();
-  return id;
-}
-
-void LabelInterner::Grow() {
-  slots_.assign(2 * slots_.size(), kEmptySlot);
-  const size_t mask = slots_.size() - 1;
-  for (LabelId id = 0; id < fns_.size(); ++id) {
-    size_t slot = hashes_[id] & mask;
-    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
-    slots_[slot] = id;
+bool LabelInterner::FindRecord(const StringFn& fn, Label* label) const {
+  *label = Label{fn.kind(), 0, 0};
+  switch (fn.kind()) {
+    case StringFn::Kind::kConstantStr:
+      label->a = string_slots_[StringSlot(fn.constant())];
+      return label->a != kEmptySlot;
+    case StringFn::Kind::kSubStr:
+      return FindPos(fn.left(), &label->a) && FindPos(fn.right(), &label->b);
+    case StringFn::Kind::kPrefix:
+    case StringFn::Kind::kSuffix:
+      break;
   }
-}
-
-LabelId LabelInterner::Intern(const StringFn& fn) {
-  const uint64_t hash = HashStringFn(fn);
-  const size_t slot =
-      Probe(hash, [&fn](const StringFn& other) { return other == fn; });
-  return InternAt(slot, hash, [&fn] { return fn; });
-}
-
-LabelId LabelInterner::InternConstant(std::string_view value) {
-  const uint64_t hash = HashConstant(value);
-  const size_t slot = Probe(hash, [value](const StringFn& fn) {
-    return fn.kind() == StringFn::Kind::kConstantStr &&
-           fn.constant() == value;
-  });
-  return InternAt(slot, hash, [value] {
-    return StringFn::ConstantStr(std::string(value));
-  });
-}
-
-LabelId LabelInterner::InternSubStr(const PosFn& left, const PosFn& right) {
-  const uint64_t hash = HashSubStr(left, right);
-  const size_t slot = Probe(hash, [&left, &right](const StringFn& fn) {
-    return fn.kind() == StringFn::Kind::kSubStr && fn.left() == left &&
-           fn.right() == right;
-  });
-  return InternAt(slot, hash, [&left, &right] {
-    return StringFn::SubStr(left, right);
-  });
-}
-
-bool LabelInterner::Lookup(const StringFn& fn, LabelId* id) const {
-  const size_t slot = Probe(
-      HashStringFn(fn), [&fn](const StringFn& other) { return other == fn; });
-  if (slots_[slot] == kEmptySlot) return false;
-  *id = slots_[slot];
+  label->a = static_cast<uint32_t>(fn.term().char_class());
+  label->b = static_cast<uint32_t>(fn.k());
   return true;
 }
 
-const StringFn& LabelInterner::Get(LabelId id) const {
-  USTL_CHECK(id < fns_.size());
-  return fns_[id];
+bool LabelInterner::Lookup(const StringFn& fn, LabelId* id) const {
+  Label label;
+  if (!FindRecord(fn, &label)) return false;
+  const LabelId found = label_slots_[LabelSlot(label)];
+  if (found == kEmptySlot) return false;
+  *id = found;
+  return true;
+}
+
+PosFn LabelInterner::MakePos(PosId id) const {
+  const Pos& pos = positions_[id];
+  switch (pos.tag) {
+    case Pos::kConstPos:
+      return PosFn::ConstPos(pos.k);
+    case Pos::kRegex:
+      return PosFn::MatchPos(Term::Regex(pos.regex_class), pos.k, pos.dir);
+    case Pos::kLiteral:
+      break;
+  }
+  return PosFn::MatchPos(Term::Constant(std::string(pool_string(pos.literal))),
+                         pos.k, pos.dir);
+}
+
+StringFn LabelInterner::Get(LabelId id) const {
+  USTL_CHECK(id < labels_.size());
+  const Label& label = labels_[id];
+  switch (label.kind) {
+    case StringFn::Kind::kConstantStr:
+      return StringFn::ConstantStr(std::string(pool_string(label.a)));
+    case StringFn::Kind::kSubStr:
+      return StringFn::SubStr(MakePos(label.a), MakePos(label.b));
+    case StringFn::Kind::kPrefix:
+      return StringFn::Prefix(Term::Regex(static_cast<CharClass>(label.a)),
+                              static_cast<int>(label.b));
+    case StringFn::Kind::kSuffix:
+      break;
+  }
+  return StringFn::Suffix(Term::Regex(static_cast<CharClass>(label.a)),
+                          static_cast<int>(label.b));
 }
 
 std::string PathToString(const LabelPath& path,

@@ -4,11 +4,19 @@
 // operations. One interner lives per grouping run (typically per column or
 // per structure group); LabelIds are not stable across interners.
 //
-// Ids are handed out in first-sight order. The lookup table is keyed by a
-// hash of the function's fields (kind, constant bytes, each position's
-// kind/k/direction/term, the affix class and k) and confirmed with
-// StringFn::operator==, so the hash only decides where an id sits in the
-// table, never which id a function gets.
+// A label is stored as a fixed 12-byte record, not as a StringFn: its kind
+// plus two 32-bit operands. A ConstantStr holds an id into the interner's
+// pool of constant strings, a SubStr two ids into its pool of position
+// functions (a constant term's literal is itself a string-pool id), and a
+// Prefix/Suffix its class and k. Get builds the StringFn on demand, where
+// a program is printed, parsed or evaluated; kind() answers the hot kind
+// checks without building one.
+//
+// Label ids are handed out in first-sight order; the two pools number
+// their entries separately and never move a label id. The label table and
+// each pool are open-addressing tables of ids keyed by a hash of the
+// record, so the hash only decides where an id sits in a table, never
+// which id a record gets. Lookup only probes: it never adds to a pool.
 #ifndef USTL_DSL_INTERNER_H_
 #define USTL_DSL_INTERNER_H_
 
@@ -17,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "dsl/string_function.h"
 
 namespace ustl {
@@ -27,6 +36,9 @@ using LabelId = uint32_t;
 /// Bidirectional StringFn <-> LabelId map. Not thread-safe.
 class LabelInterner {
  public:
+  /// Id of a position function in the interner's position pool.
+  using PosId = uint32_t;
+
   LabelInterner() = default;
   LabelInterner(const LabelInterner&) = delete;
   LabelInterner& operator=(const LabelInterner&) = delete;
@@ -34,38 +46,100 @@ class LabelInterner {
   /// Returns the id for `fn`, interning it on first sight.
   LabelId Intern(const StringFn& fn);
 
-  /// Intern(StringFn::ConstantStr(value)) and
-  /// Intern(StringFn::SubStr(left, right)), without building the StringFn
-  /// unless the label is new. The graph builder's hot path.
+  /// The graph builder's entry points: each interns from fields and views
+  /// and builds no StringFn or PosFn. InternConstant(v) is
+  /// Intern(StringFn::ConstantStr(v)); InternSubStr(l, r) is
+  /// Intern(StringFn::SubStr(l', r')) for the positions l' and r' that the
+  /// pool ids l and r stand for; InternAffix(kind, c, k) is
+  /// Intern(StringFn::Prefix(Term::Regex(c), k)) or its Suffix twin.
   LabelId InternConstant(std::string_view value);
-  LabelId InternSubStr(const PosFn& left, const PosFn& right);
+  LabelId InternSubStr(PosId left, PosId right);
+  LabelId InternAffix(StringFn::Kind kind, CharClass regex_class, int k);
+
+  /// Position pool entries: ConstPos(k), MatchPos(Term::Regex(c), k, dir)
+  /// and MatchPos(Term::Constant(literal), k, dir); InternPos takes any
+  /// PosFn.
+  PosId InternConstPos(int k);
+  PosId InternMatchPos(CharClass regex_class, int k, Dir dir);
+  PosId InternMatchPos(std::string_view literal, int k, Dir dir);
+  PosId InternPos(const PosFn& pos);
 
   /// Looks up an id without interning; returns false if absent.
   bool Lookup(const StringFn& fn, LabelId* id) const;
 
-  /// The function for an id. `id` must have been returned by Intern.
-  const StringFn& Get(LabelId id) const;
+  /// The function for an id, built from its record. `id` must have been
+  /// returned by an Intern call.
+  StringFn Get(LabelId id) const;
+  /// The kind of an id's function, without building it.
+  StringFn::Kind kind(LabelId id) const {
+    USTL_DCHECK(id < labels_.size());
+    return labels_[id].kind;
+  }
 
-  size_t size() const { return fns_.size(); }
+  size_t size() const { return labels_.size(); }
 
  private:
-  static constexpr LabelId kEmptySlot = UINT32_MAX;
+  // A label: ConstantStr (a = string id), SubStr (a, b = position ids) or
+  // Prefix/Suffix (a = class, b = k).
+  struct Label {
+    StringFn::Kind kind;
+    uint32_t a;
+    uint32_t b;
+    bool operator==(const Label& o) const {
+      return kind == o.kind && a == o.a && b == o.b;
+    }
+  };
+  static_assert(sizeof(Label) <= 16, "a label record stays within 16 bytes");
 
-  // The slot holding the id whose function satisfies `equal`, or the
-  // empty slot where such an id would go.
-  template <typename Equal>
-  size_t Probe(uint64_t hash, const Equal& equal) const;
-  // Returns the id in `slot`, or interns make() there when it is empty.
-  template <typename Make>
-  LabelId InternAt(size_t slot, uint64_t hash, const Make& make);
-  // Doubles the table and re-seats every id by its kept hash.
-  void Grow();
+  // A position: ConstPos(k), or MatchPos over a regex class or over the
+  // constant term whose literal is string `literal`. Unused fields are 0,
+  // so equal positions have equal records.
+  struct Pos {
+    enum Tag : uint8_t { kConstPos = 0, kRegex = 1, kLiteral = 2 };
+    Tag tag;
+    Dir dir;
+    CharClass regex_class;
+    int32_t k;
+    uint32_t literal;
+    bool operator==(const Pos& o) const {
+      return tag == o.tag && dir == o.dir && regex_class == o.regex_class &&
+             k == o.k && literal == o.literal;
+    }
+  };
 
-  std::vector<StringFn> fns_;    // by id
-  std::vector<uint64_t> hashes_;  // by id
-  // Open addressing with linear probing; the size is a power of two and
-  // at least twice the number of ids.
-  std::vector<LabelId> slots_ = std::vector<LabelId>(16, kEmptySlot);
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+  // Open addressing with linear probing: a power-of-two array of ids at
+  // least twice as long as the number of ids in it.
+  using Slots = std::vector<uint32_t>;
+
+  static uint64_t HashPos(const Pos& pos);
+  static uint64_t HashLabel(const Label& label);
+
+  // The slot holding the entry's id, or the empty slot where it would go.
+  size_t StringSlot(std::string_view value) const;
+  size_t PosSlot(const Pos& pos) const;
+  size_t LabelSlot(const Label& label) const;
+
+  // Probe-only lookups: none of them adds to a pool.
+  bool FindPos(const PosFn& pos, PosId* id) const;
+  bool FindRecord(const StringFn& fn, Label* label) const;
+
+  uint32_t InternString(std::string_view value);
+  PosId InternPosRecord(const Pos& pos);
+  LabelId InternLabel(const Label& label);
+
+  std::string_view pool_string(uint32_t id) const;
+  PosFn MakePos(PosId id) const;
+
+  std::vector<Label> labels_;  // by LabelId
+  Slots label_slots_ = Slots(16, kEmptySlot);
+  std::vector<Pos> positions_;  // by PosId
+  Slots pos_slots_ = Slots(16, kEmptySlot);
+  // The constant strings back to back; string i ends at string_ends_[i]
+  // and starts where string i - 1 ends.
+  std::string string_bytes_;
+  std::vector<uint32_t> string_ends_;
+  Slots string_slots_ = Slots(16, kEmptySlot);
 };
 
 /// A transformation path / program skeleton: the sequence of interned

@@ -1,9 +1,9 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "text/char_class.h"
-#include "text/terms.h"
 
 namespace ustl {
 namespace {
@@ -27,6 +27,64 @@ size_t Lcs(std::string_view a, std::string_view b) {
   return i;
 }
 
+// A class token of s (a maximal run of one class, or one kOther
+// character) spanning s[begin, end), 1-based. For a regex class, k is the
+// token's 1-based ordinal among the class's tokens, i.e. its match index
+// under Term::Regex(c).
+struct ClassRun {
+  CharClass c;
+  int begin;
+  int end;
+  int k;
+};
+
+// A regex MatchPos(Term::Regex(c), k, dir) at a position of s. Sorting by
+// (position, k, dir, c) puts each position's candidates in PosFn order.
+struct RegexPos {
+  int position;
+  int k;
+  Dir dir;
+  CharClass c;
+
+  bool operator<(const RegexPos& o) const {
+    if (position != o.position) return position < o.position;
+    if (k != o.k) return k < o.k;
+    if (dir != o.dir) return dir < o.dir;
+    return c < o.c;
+  }
+};
+
+// The best-scoring constant-term MatchPos(Term::Constant(literal), k, dir)
+// of a position; `score` is 0 until one is found (only tokens scoring above
+// 0 become terms).
+struct LiteralPos {
+  double score = 0.0;
+  std::string_view literal;
+  int k = 0;
+  Dir dir = Dir::kBegin;
+};
+
+// The working buffers of Build. One set lives per thread and keeps its
+// capacity across calls, so a warm builder allocates only the graph it
+// returns.
+struct BuildScratch {
+  std::vector<ClassRun> runs;             // class tokens of s, in order
+  std::vector<RegexPos> regex_positions;  // tier 1, every position's
+  std::vector<std::string_view> seen;     // tokens the scorer was asked
+  std::vector<LiteralPos> literal_positions;  // tier 2, by position
+  // The candidate positions P[x] of s: pool ids
+  // positions[position_begin[x], position_begin[x + 1]), in PosFn order.
+  std::vector<uint32_t> position_begin;
+  std::vector<LabelInterner::PosId> positions;
+  std::vector<char> aligned;  // token boundaries of t, by node
+  std::vector<EdgeLabel> labels;
+};
+
+BuildScratch& ThreadScratch() {
+  thread_local BuildScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 GraphBuilder::GraphBuilder(GraphBuilderOptions options,
@@ -43,82 +101,112 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
   if (s == t) {
     return Status::InvalidArgument("replacement sides must differ");
   }
-  TransformationGraph graph{std::string(s), std::string(t)};
   const int n = static_cast<int>(s.size());
   const int m = static_cast<int>(t.size());
+  BuildScratch& scratch = ThreadScratch();
+  std::vector<EdgeLabel>& labels = scratch.labels;
+  labels.clear();
 
   // Oversized values get the trivial constant-only graph so that every
   // replacement keeps at least one transformation path (see header).
   if (n > options_.max_input_len || m > options_.max_output_len) {
-    graph.AddLabel(1, m + 1, interner_->InternConstant(t));
-    return graph;
+    labels.emplace_back(1, m + 1, interner_->InternConstant(t));
+    return TransformationGraph(std::string(s), std::string(t), &labels);
+  }
+
+  // --- The class tokens of s, in one scan.
+  std::vector<ClassRun>& runs = scratch.runs;
+  runs.clear();
+  int class_runs[4] = {0, 0, 0, 0};  // per regex class
+  for (int i = 0; i < n;) {
+    const CharClass c = ClassOf(s[i]);
+    int j = i + 1;
+    int k = 0;
+    if (c != CharClass::kOther) {
+      while (j < n && ClassOf(s[j]) == c) ++j;
+      k = ++class_runs[static_cast<int>(c)];
+    }
+    runs.push_back(ClassRun{c, i + 1, j + 1, k});
+    i = j;
   }
 
   // --- Position array P[1 .. n+1] (Algorithm 8 lines 3-11), tiered per the
   // static order of Section 7.4: regex MatchPos, then constant-term
-  // MatchPos, then ConstPos.
-  std::vector<std::vector<PosFn>> positions(n + 2);
-  {
-    std::vector<std::vector<PosFn>> tier0(n + 2);
-    std::vector<std::pair<double, PosFn>> best_const(n + 2,
-                                                     {0.0, PosFn::ConstPos(1)});
-    std::vector<bool> has_const(n + 2, false);
-
-    for (CharClass c : kRegexClasses) {
-      Term term = Term::Regex(c);
-      auto matches = FindMatches(term, s);
-      const int total = static_cast<int>(matches.size());
-      for (int k = 1; k <= total; ++k) {
-        const TermMatch& match = matches[k - 1];
-        tier0[match.begin].push_back(PosFn::MatchPos(term, k, Dir::kBegin));
-        tier0[match.begin].push_back(
-            PosFn::MatchPos(term, k - total - 1, Dir::kBegin));
-        tier0[match.end].push_back(PosFn::MatchPos(term, k, Dir::kEnd));
-        tier0[match.end].push_back(
-            PosFn::MatchPos(term, k - total - 1, Dir::kEnd));
-      }
-    }
-
-    if (options_.scorer != nullptr) {
-      // Constant-string terms, restricted to class tokens and, per
-      // position, to the best-scoring term (Appendix E static order).
-      std::vector<std::string> seen;
-      for (const Token& token : ClassTokens(s)) {
-        if (std::find(seen.begin(), seen.end(), token.text) != seen.end()) {
-          continue;
-        }
-        seen.push_back(token.text);
-        double score = options_.scorer->Score(token.text);
-        if (score <= 0.0) continue;
-        Term term = Term::Constant(token.text);
-        auto matches = FindMatches(term, s);
-        const int total = static_cast<int>(matches.size());
-        for (int k = 1; k <= total; ++k) {
-          const TermMatch& match = matches[k - 1];
-          for (auto [position, dir] :
-               {std::pair{match.begin, Dir::kBegin},
-                std::pair{match.end, Dir::kEnd}}) {
-            if (!has_const[position] || score > best_const[position].first) {
-              has_const[position] = true;
-              best_const[position] = {score, PosFn::MatchPos(term, k, dir)};
-            }
-          }
-        }
-      }
-    }
-
-    for (int k = 1; k <= n + 1; ++k) {
-      std::vector<PosFn>& out = positions[k];
-      if (!tier0[k].empty()) {
-        out = std::move(tier0[k]);
-      } else if (has_const[k]) {
-        out.push_back(best_const[k].second);
-      } else {
-        out = {PosFn::ConstPos(k), PosFn::ConstPos(k - n - 2)};
-      }
-      std::sort(out.begin(), out.end());
+  // MatchPos, then ConstPos. A regex run's match index k counts from the
+  // left, and k - total - 1 names the same match from the right.
+  std::vector<RegexPos>& regex_positions = scratch.regex_positions;
+  regex_positions.clear();
+  for (const ClassRun& run : runs) {
+    if (run.c == CharClass::kOther) continue;
+    const int from_end = run.k - class_runs[static_cast<int>(run.c)] - 1;
+    for (int k : {run.k, from_end}) {
+      regex_positions.push_back(RegexPos{run.begin, k, Dir::kBegin, run.c});
+      regex_positions.push_back(RegexPos{run.end, k, Dir::kEnd, run.c});
     }
   }
+  std::sort(regex_positions.begin(), regex_positions.end());
+
+  std::vector<LiteralPos>& literal_positions = scratch.literal_positions;
+  literal_positions.assign(static_cast<size_t>(n) + 2, LiteralPos{});
+  if (options_.scorer != nullptr) {
+    // Constant-string terms, restricted to class tokens and, per
+    // position, to the best-scoring term (Appendix E static order); the
+    // first term found keeps a tie. A term matches its non-overlapping
+    // leftmost occurrences in s (FindMatches).
+    std::vector<std::string_view>& seen = scratch.seen;
+    seen.clear();
+    for (const ClassRun& run : runs) {
+      const std::string_view token =
+          s.substr(run.begin - 1, run.end - run.begin);
+      if (std::find(seen.begin(), seen.end(), token) != seen.end()) continue;
+      seen.push_back(token);
+      const double score = options_.scorer->Score(token);
+      if (score <= 0.0) continue;
+      int k = 0;
+      for (size_t x = 0; x + token.size() <= s.size();) {
+        if (s.substr(x, token.size()) != token) {
+          ++x;
+          continue;
+        }
+        ++k;
+        const int begin = static_cast<int>(x) + 1;
+        const int end = begin + static_cast<int>(token.size());
+        for (auto [position, dir] :
+             {std::pair{begin, Dir::kBegin}, std::pair{end, Dir::kEnd}}) {
+          if (score > literal_positions[position].score) {
+            literal_positions[position] = LiteralPos{score, token, k, dir};
+          }
+        }
+        x += token.size();
+      }
+    }
+  }
+
+  std::vector<uint32_t>& position_begin = scratch.position_begin;
+  std::vector<LabelInterner::PosId>& positions = scratch.positions;
+  position_begin.assign(static_cast<size_t>(n) + 3, 0);
+  positions.clear();
+  size_t next_regex = 0;
+  for (int x = 1; x <= n + 1; ++x) {
+    position_begin[x] = static_cast<uint32_t>(positions.size());
+    if (next_regex < regex_positions.size() &&
+        regex_positions[next_regex].position == x) {
+      for (; next_regex < regex_positions.size() &&
+             regex_positions[next_regex].position == x;
+           ++next_regex) {
+        const RegexPos& pos = regex_positions[next_regex];
+        positions.push_back(interner_->InternMatchPos(pos.c, pos.k, pos.dir));
+      }
+    } else if (literal_positions[x].score > 0.0) {
+      const LiteralPos& pos = literal_positions[x];
+      positions.push_back(
+          interner_->InternMatchPos(pos.literal, pos.k, pos.dir));
+    } else {
+      positions.push_back(interner_->InternConstPos(x - n - 2));
+      positions.push_back(interner_->InternConstPos(x));
+    }
+  }
+  position_begin[n + 2] = static_cast<uint32_t>(positions.size());
 
   // --- Constant and SubStr labels per edge (Algorithm 8 lines 13-18), only
   // on edges aligned with the class tokens of t (maximal character-class
@@ -132,26 +220,31 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
   // pruning of a constant that a higher-scoring extension contains never
   // drops one here: every extension of an aligned edge crosses a class
   // boundary, and such a string scores 0 (TermScorer::Score).
-  std::vector<bool> aligned(m + 2, false);
-  for (const Token& token : ClassTokens(t)) aligned[token.begin] = true;
-  aligned[m + 1] = true;
+  std::vector<char>& aligned = scratch.aligned;
+  aligned.assign(static_cast<size_t>(m) + 2, 0);
+  for (int i = 1; i <= m; ++i) {
+    const CharClass c = ClassOf(t[i - 1]);
+    aligned[i] = i == 1 || c == CharClass::kOther || c != ClassOf(t[i - 2]);
+  }
+  aligned[m + 1] = 1;
 
   for (int i = 1; i <= m; ++i) {
     if (!aligned[i]) continue;
     for (int j = i + 1; j <= m + 1; ++j) {
       if (!aligned[j]) continue;
-      std::string_view u = t.substr(i - 1, j - i);
-      graph.AddLabel(i, j, interner_->InternConstant(u));
+      const std::string_view u = t.substr(i - 1, j - i);
+      labels.emplace_back(i, j, interner_->InternConstant(u));
       int label_budget = options_.max_substr_labels_per_edge;
       const int len = j - i;
       for (int x = 1; x + len <= n + 1 && label_budget > 0; ++x) {
         if (s.substr(x - 1, len) != u) continue;
         const int y = x + len;
-        for (const PosFn& left : positions[x]) {
-          if (label_budget <= 0) break;
-          for (const PosFn& right : positions[y]) {
-            if (label_budget <= 0) break;
-            graph.AddLabel(i, j, interner_->InternSubStr(left, right));
+        for (uint32_t l = position_begin[x];
+             l < position_begin[x + 1] && label_budget > 0; ++l) {
+          for (uint32_t r = position_begin[y];
+               r < position_begin[y + 1] && label_budget > 0; ++r) {
+            labels.emplace_back(
+                i, j, interner_->InternSubStr(positions[l], positions[r]));
             --label_budget;
           }
         }
@@ -160,33 +253,37 @@ Result<TransformationGraph> GraphBuilder::Build(std::string_view s,
   }
 
   // --- Affix labels (Appendix D), longest prefix/suffix only (Appendix E).
+  // Each label is interned where it first lands on an edge, which keeps
+  // the first-sight order of ids.
   if (options_.enable_affix) {
     for (CharClass c : kRegexClasses) {
-      Term term = Term::Regex(c);
-      auto matches = FindMatches(term, s);
-      for (int k = 1; k <= static_cast<int>(matches.size()); ++k) {
-        const TermMatch& match = matches[k - 1];
-        std::string_view text =
-            s.substr(match.begin - 1, match.end - match.begin);
+      for (const ClassRun& run : runs) {
+        if (run.c != c) continue;
+        const std::string_view text =
+            s.substr(run.begin - 1, run.end - run.begin);
+        std::optional<LabelId> prefix;
         for (int i = 1; i <= m; ++i) {
-          size_t len = Lcp(t.substr(i - 1), text);
-          if (len >= 1) {
-            graph.AddLabel(i, i + static_cast<int>(len),
-                           interner_->Intern(StringFn::Prefix(term, k)));
+          const int len = static_cast<int>(Lcp(t.substr(i - 1), text));
+          if (len < 1) continue;
+          if (!prefix) {
+            prefix = interner_->InternAffix(StringFn::Kind::kPrefix, c, run.k);
           }
+          labels.emplace_back(i, i + len, *prefix);
         }
+        std::optional<LabelId> suffix;
         for (int j = 2; j <= m + 1; ++j) {
-          size_t len = Lcs(t.substr(0, j - 1), text);
-          if (len >= 1) {
-            graph.AddLabel(j - static_cast<int>(len), j,
-                           interner_->Intern(StringFn::Suffix(term, k)));
+          const int len = static_cast<int>(Lcs(t.substr(0, j - 1), text));
+          if (len < 1) continue;
+          if (!suffix) {
+            suffix = interner_->InternAffix(StringFn::Kind::kSuffix, c, run.k);
           }
+          labels.emplace_back(j - len, j, *suffix);
         }
       }
     }
   }
 
-  return graph;
+  return TransformationGraph(std::string(s), std::string(t), &labels);
 }
 
 Result<std::vector<TransformationGraph>> GraphBuilder::BuildBatch(

@@ -2,6 +2,13 @@
 // with the affix labels of Appendix D and the static orders of Appendix E.
 // Runs in O(|s|^2 |t|^2) time; the options bound the label explosion for
 // long values.
+//
+// Build reads s and t into class tokens in one scan each, interns each
+// candidate position of s once into the interner's position pool, and
+// interns SubStr labels from pairs of those pool ids. It collects the
+// graph's (from, to, label) list and fills the graph from it once. Its
+// working buffers live per thread and keep their capacity across calls,
+// so a warm builder allocates only the graph it returns.
 #ifndef USTL_GRAPH_GRAPH_BUILDER_H_
 #define USTL_GRAPH_GRAPH_BUILDER_H_
 
@@ -40,7 +47,8 @@ struct GraphBuilderOptions {
 };
 
 /// Builds transformation graphs, interning labels into a shared interner.
-/// Thread-compatible: const after construction except for the interner.
+/// Thread-compatible: const after construction except for the interner,
+/// and Build's working buffers are per thread.
 class GraphBuilder {
  public:
   GraphBuilder(GraphBuilderOptions options, LabelInterner* interner);
@@ -48,7 +56,8 @@ class GraphBuilder {
   /// Builds the graph for the replacement s -> t. `t` must be non-empty and
   /// `s` must differ from `t`. Values exceeding the length limits yield the
   /// trivial constant-only graph (never an error), so every replacement
-  /// always has at least one transformation path.
+  /// always has at least one transformation path. `t` has at most
+  /// EdgeLabel::kMaxNode - 1 characters (checked in every build).
   Result<TransformationGraph> Build(std::string_view s,
                                     std::string_view t) const;
 

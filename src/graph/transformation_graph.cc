@@ -7,50 +7,45 @@
 namespace ustl {
 
 TransformationGraph::TransformationGraph(std::string source,
-                                         std::string target)
+                                         std::string target,
+                                         std::vector<EdgeLabel>* labels)
     : source_(std::move(source)), target_(std::move(target)) {
-  adjacency_.resize(target_.size() + 1);
-}
-
-const std::vector<GraphEdge>& TransformationGraph::edges_from(int from) const {
-  // Per-access bounds check on the hottest accessor in the codebase
-  // (every DFS move gather and index scan goes through here) — debug-only.
-  USTL_DCHECK(from >= 1 && from <= num_nodes());
-  return adjacency_[from - 1];
-}
-
-void TransformationGraph::AddLabel(int from, int to, LabelId label) {
-  USTL_DCHECK(from >= 1 && to > from && to <= num_nodes());
-  auto& edges = adjacency_[from - 1];
-  auto it = std::lower_bound(
-      edges.begin(), edges.end(), to,
-      [](const GraphEdge& e, int target_node) { return e.to < target_node; });
-  if (it == edges.end() || it->to != to) {
-    it = edges.insert(it, GraphEdge{to, {}});
+  USTL_CHECK(num_nodes() <= EdgeLabel::kMaxNode);
+  std::sort(labels->begin(), labels->end());
+  labels->erase(std::unique(labels->begin(), labels->end()), labels->end());
+  const auto same_edge = [](EdgeLabel a, EdgeLabel b) {
+    return a.from() == b.from() && a.to() == b.to();
+  };
+  // Each array is sized exactly before it is filled: one allocation each.
+  size_t num_edges = 0;
+  for (size_t i = 0; i < labels->size(); ++i) {
+    if (i == 0 || !same_edge((*labels)[i - 1], (*labels)[i])) ++num_edges;
   }
-  auto& labels = it->labels;
-  auto lit = std::lower_bound(labels.begin(), labels.end(), label);
-  if (lit == labels.end() || *lit != label) labels.insert(lit, label);
-}
-
-size_t TransformationGraph::TotalLabelCount() const {
-  size_t count = 0;
-  for (const auto& edges : adjacency_) {
-    for (const auto& edge : edges) count += edge.labels.size();
+  edge_begin_.assign(static_cast<size_t>(num_nodes()) + 1, 0);
+  edges_.reserve(num_edges + 1);
+  labels_.reserve(labels->size());
+  for (size_t i = 0; i < labels->size(); ++i) {
+    const EdgeLabel label = (*labels)[i];
+    USTL_DCHECK(label.to() <= num_nodes());
+    if (i == 0 || !same_edge((*labels)[i - 1], label)) {
+      edges_.push_back(
+          Edge{label.to(), static_cast<uint32_t>(labels_.size())});
+      ++edge_begin_[label.from()];
+    }
+    labels_.push_back(label.label());
   }
-  return count;
-}
-
-size_t TransformationGraph::EdgeCount() const {
-  size_t count = 0;
-  for (const auto& edges : adjacency_) count += edges.size();
-  return count;
+  edges_.push_back(Edge{0, static_cast<uint32_t>(labels_.size())});
+  // Edge counts per node to offsets: node v's edges end at edge_begin_[v].
+  for (size_t v = 1; v < edge_begin_.size(); ++v) {
+    edge_begin_[v] += edge_begin_[v - 1];
+  }
 }
 
 bool TransformationGraph::ContainsPath(const LabelPath& path) const {
   if (path.empty()) return false;
-  // DFS over (node, path index); multiple edges may carry the same label
-  // only from different nodes, so at most one edge matches per step.
+  // DFS over (node, path index). One label can sit on several out-edges of
+  // a node (a journaltitle graph has the same label on 2->4 and 2->12), so
+  // every edge carrying the next label is pushed, not just the first.
   struct Frame {
     int node;
     size_t index;

@@ -61,7 +61,7 @@ void AnnotateGroup(const LabelInterner& interner, const StringPair& first,
                    Group* group) {
   group->pure_constant = !group->pivot.empty();
   for (LabelId label : group->pivot) {
-    if (interner.Get(label).kind() != StringFn::Kind::kConstantStr) {
+    if (interner.kind(label) != StringFn::Kind::kConstantStr) {
       group->pure_constant = false;
       break;
     }

@@ -13,7 +13,7 @@ LabelPath FullWidthConstantPath(const GraphSet& set, GraphId g) {
   for (const GraphEdge& edge : graph.edges_from(1)) {
     if (edge.to != graph.last_node()) continue;
     for (LabelId label : edge.labels) {
-      if (set.interner()->Get(label).kind() == StringFn::Kind::kConstantStr) {
+      if (set.interner()->kind(label) == StringFn::Kind::kConstantStr) {
         return {label};
       }
     }

@@ -30,7 +30,7 @@ bool MoveBefore(const Move& a, const Move& b) {
 }
 
 bool IsConstant(const GraphSet& set, LabelId label) {
-  return set.interner()->Get(label).kind() == StringFn::Kind::kConstantStr;
+  return set.interner()->kind(label) == StringFn::Kind::kConstantStr;
 }
 
 }  // namespace

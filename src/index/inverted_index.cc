@@ -33,14 +33,10 @@ InvertedIndex InvertedIndex::Build(
     const std::vector<TransformationGraph>& graphs, ThreadPool*, size_t,
     size_t num_labels_hint, const IndexBuildOptions&) {
   InvertedIndex index;
-  // Field-width guards of the packed layout: graph ids fit 32 bits, node
-  // ids 16. One cheap check per graph, kept in release builds because the
-  // limits are input-dependent (a >64KiB target would silently corrupt
-  // packed postings otherwise).
+  // Field-width guards of the packed layout, kept in release builds
+  // because the limits are input-dependent: graph ids fit 32 bits here,
+  // and node ids 16 (every graph checks that when it is built).
   USTL_CHECK(graphs.size() <= static_cast<size_t>(Posting::kMaxGraph) + 1);
-  for (const TransformationGraph& graph : graphs) {
-    USTL_CHECK(graph.num_nodes() <= Posting::kMaxNode);
-  }
 
   // lists_ is sized once: from the interner when the caller knows it,
   // else from one scan for the largest label.

@@ -31,7 +31,7 @@ class ThreadPool;
 /// Packed as graph (32 bits) | start (16) | end (16); the field order
 /// makes uint64 comparison equal to lexicographic (graph, start, end)
 /// comparison. Node ids are 1 .. |t|+1, so targets are capped at
-/// kMaxNode - 1 characters (enforced once per graph in Build).
+/// kMaxNode - 1 characters (enforced when each graph is built).
 class Posting {
  public:
   static constexpr GraphId kMaxGraph = 0xffffffffu;
@@ -77,6 +77,8 @@ class Posting {
 
 static_assert(sizeof(Posting) == sizeof(uint64_t),
               "postings must stay packed one-word");
+static_assert(Posting::kMaxNode == EdgeLabel::kMaxNode,
+              "every graph node id fits a posting");
 
 /// Sorted by (graph, start, end) — equivalently by packed bits — unique.
 using PostingList = std::vector<Posting>;

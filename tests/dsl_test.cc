@@ -80,7 +80,8 @@ TEST(PosFnTest, InternedIdsInjective) {
   LabelInterner interner;
   std::vector<LabelId> as_left, as_right;
   for (const PosFn& fn : fns) {
-    as_left.push_back(interner.InternSubStr(fn, PosFn::ConstPos(2)));
+    as_left.push_back(interner.InternSubStr(
+        interner.InternPos(fn), interner.InternPos(PosFn::ConstPos(2))));
     as_right.push_back(
         interner.Intern(StringFn::SubStr(PosFn::ConstPos(2), fn)));
   }
@@ -333,15 +334,17 @@ TEST(InternerTest, GrowthKeepsIdsDenseAndStable) {
   }
   ASSERT_GT(fns.size(), 4096u);
 
-  // The builder's construct-free entry points where one applies.
+  // The builder's construct-free entry points.
   auto intern_fast = [](LabelInterner* interner, const StringFn& fn) {
     switch (fn.kind()) {
       case StringFn::Kind::kConstantStr:
         return interner->InternConstant(fn.constant());
       case StringFn::Kind::kSubStr:
-        return interner->InternSubStr(fn.left(), fn.right());
+        return interner->InternSubStr(interner->InternPos(fn.left()),
+                                      interner->InternPos(fn.right()));
       default:
-        return interner->Intern(fn);
+        return interner->InternAffix(fn.kind(), fn.term().char_class(),
+                                     fn.k());
     }
   };
   LabelInterner by_fn, by_fields;
@@ -363,6 +366,21 @@ TEST(InternerTest, GrowthKeepsIdsDenseAndStable) {
     EXPECT_FALSE(interner->Lookup(StringFn::ConstantStr("absent"), &id));
     EXPECT_FALSE(interner->Lookup(
         StringFn::SubStr(PosFn::ConstPos(41), PosFn::ConstPos(1)), &id));
+
+    // A SubStr over a constant term whose literal (longer than the 15-byte
+    // small-string buffer) was never interned. Lookup probes the string
+    // pool, the position pool and the label table and adds to none of
+    // them: the next new position and the next new label still get the
+    // next ids.
+    const PosFn unseen = PosFn::MatchPos(
+        Term::Constant("a literal nobody interned"), 1, Dir::kBegin);
+    const LabelInterner::PosId next_pos =
+        interner->InternPos(PosFn::ConstPos(1000)) + 1;
+    EXPECT_FALSE(interner->Lookup(
+        StringFn::SubStr(unseen, PosFn::ConstPos(-1)), &id));
+    EXPECT_EQ(interner->size(), fns.size());
+    EXPECT_EQ(interner->InternPos(PosFn::ConstPos(1001)), next_pos);
+    EXPECT_EQ(interner->InternConstant("next"), fns.size());
   }
 }
 

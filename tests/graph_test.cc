@@ -3,6 +3,11 @@
 // static orders (Appendix E) and the term scorer.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -15,40 +20,150 @@
 #include "graph/transformation_graph.h"
 #include "text/terms.h"
 
+// Global operator new, counted while g_count_news is set. Every
+// replaceable non-aligned form allocates and frees through malloc/free, so
+// sanitizer builds see matching pairs.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<size_t> g_news{0};
+
+void* CountedNew(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* CountedNewNoThrow(std::size_t size) noexcept {
+  try {
+    return CountedNew(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedNew(size); }
+void* operator new[](std::size_t size) { return CountedNew(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedNewNoThrow(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedNewNoThrow(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace ustl {
 namespace {
 
-TEST(TransformationGraphTest, NodeCountIsTargetPlusOne) {
-  TransformationGraph g("abc", "xy");
-  EXPECT_EQ(g.num_nodes(), 3);
-  EXPECT_EQ(g.last_node(), 3);
+// The number of global operator new calls `fn` makes.
+template <typename Fn>
+size_t CountNews(const Fn& fn) {
+  g_news.store(0);
+  g_count_news.store(true);
+  fn();
+  g_count_news.store(false);
+  return g_news.load();
 }
 
-TEST(TransformationGraphTest, AddLabelKeepsSortedUnique) {
-  TransformationGraph g("abc", "xy");
-  g.AddLabel(1, 3, 5);
-  g.AddLabel(1, 2, 7);
-  g.AddLabel(1, 3, 5);
-  g.AddLabel(1, 3, 2);
+// Each node's out-edges as plain values: (to, labels) per edge.
+using NodeEdges = std::vector<std::pair<int, std::vector<LabelId>>>;
+
+std::vector<NodeEdges> EdgesByNode(const TransformationGraph& g) {
+  std::vector<NodeEdges> out;
+  for (int node = 1; node <= g.num_nodes(); ++node) {
+    NodeEdges edges;
+    for (const GraphEdge& edge : g.edges_from(node)) {
+      edges.emplace_back(edge.to, std::vector<LabelId>(edge.labels.begin(),
+                                                       edge.labels.end()));
+    }
+    out.push_back(std::move(edges));
+  }
+  return out;
+}
+
+TEST(TransformationGraphTest, NodeCountIsTargetPlusOne) {
+  std::vector<EdgeLabel> none;
+  TransformationGraph g("abc", "xy", &none);
+  EXPECT_EQ(g.num_nodes(), 3);
+  EXPECT_EQ(g.last_node(), 3);
+  EXPECT_EQ(g.EdgeCount(), 0u);
+  EXPECT_TRUE(g.edges_from(1).empty());
+}
+
+// The one-pass fill takes the (edge, label) pairs in any order and with
+// repeats; each edge ends up with its labels sorted and unique.
+TEST(TransformationGraphTest, FillKeepsSortedUnique) {
+  std::vector<EdgeLabel> labels = {
+      {2, 3, 4}, {1, 3, 5}, {1, 2, 7}, {1, 3, 5}, {1, 3, 2}, {2, 3, 4}};
+  TransformationGraph g("abc", "xy", &labels);
   const auto& edges = g.edges_from(1);
   ASSERT_EQ(edges.size(), 2u);
   EXPECT_EQ(edges[0].to, 2);
   EXPECT_EQ(edges[1].to, 3);
-  EXPECT_EQ(edges[1].labels, (std::vector<LabelId>{2, 5}));
-  EXPECT_EQ(g.TotalLabelCount(), 3u);
-  EXPECT_EQ(g.EdgeCount(), 2u);
+  EXPECT_EQ(std::vector<LabelId>(edges[1].labels.begin(),
+                                 edges[1].labels.end()),
+            (std::vector<LabelId>{2, 5}));
+  ASSERT_EQ(g.edges_from(2).size(), 1u);
+  EXPECT_EQ(g.edges_from(2)[0].labels.size(), 1u);
+  EXPECT_TRUE(g.edges_from(3).empty());
+  EXPECT_EQ(g.TotalLabelCount(), 4u);
+  EXPECT_EQ(g.EdgeCount(), 3u);
 }
 
 TEST(TransformationGraphTest, ContainsPathFollowsAdjacency) {
-  TransformationGraph g("s", "xy");
-  g.AddLabel(1, 2, 0);
-  g.AddLabel(2, 3, 1);
-  g.AddLabel(1, 3, 2);
+  std::vector<EdgeLabel> labels = {{1, 2, 0}, {2, 3, 1}, {1, 3, 2}};
+  TransformationGraph g("s", "xy", &labels);
   EXPECT_TRUE(g.ContainsPath({0, 1}));
   EXPECT_TRUE(g.ContainsPath({2}));
   EXPECT_FALSE(g.ContainsPath({1, 0}));
   EXPECT_FALSE(g.ContainsPath({0}));  // stops before the last node
   EXPECT_FALSE(g.ContainsPath({}));
+
+  // Label 5 sits on two out-edges of node 1, and only the second, 1->3,
+  // leads on to the sink.
+  std::vector<EdgeLabel> twin = {{1, 2, 5}, {1, 3, 5}, {3, 4, 6}};
+  TransformationGraph h("s", "xyz", &twin);
+  EXPECT_TRUE(h.ContainsPath({5, 6}));
+}
+
+// Copies and moves carry the three arrays: every view of the new graph
+// points into its own arrays, never into the original's (an ASan build
+// catches a view left pointing into the destroyed original).
+TEST(TransformationGraphTest, CopiesAndMovesOwnTheirArrays) {
+  LabelInterner interner;
+  GraphBuilder builder(GraphBuilderOptions{}, &interner);
+  auto original = std::make_unique<TransformationGraph>(
+      builder.Build("Lee, Mary", "M. Lee").value());
+  const std::vector<NodeEdges> reference = EdgesByNode(*original);
+  ASSERT_GT(original->EdgeCount(), 1u);
+
+  TransformationGraph copied(*original);
+  TransformationGraph assigned = builder.Build("Street", "St").value();
+  assigned = *original;
+  TransformationGraph moved_from(*original);
+  TransformationGraph moved(std::move(moved_from));
+  TransformationGraph move_assigned = builder.Build("9", "9th").value();
+  TransformationGraph move_source(*original);
+  move_assigned = std::move(move_source);
+  original.reset();
+  // Reuses the builder's scratch, which no graph may view either.
+  ASSERT_TRUE(builder.Build("123 West 42nd Street", "123 W 42nd St").ok());
+
+  for (const TransformationGraph* g :
+       {&copied, &assigned, &moved, &move_assigned}) {
+    EXPECT_EQ(g->source(), "Lee, Mary");
+    EXPECT_EQ(g->target(), "M. Lee");
+    EXPECT_EQ(EdgesByNode(*g), reference);
+  }
 }
 
 class GraphBuilderTest : public ::testing::Test {
@@ -229,6 +344,45 @@ TEST_F(GraphBuilderTest, TokenAlignedLabelsRestrictConstEdges) {
     for (LabelId label : edge.labels) {
       StringFn fn = interner_.Get(label);
       EXPECT_NE(fn.kind(), StringFn::Kind::kConstantStr);
+    }
+  }
+}
+
+// A second Build of a pair on a warm builder (its interner already holds
+// every label, its per-thread scratch has grown) allocates only the
+// returned graph: the three arrays, plus s and t where they outgrow the
+// small-string buffer. The count does not depend on the hardware.
+TEST(GraphBuilderAllocationTest, WarmBuildAllocatesOnlyTheGraph) {
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"123 West 42nd Street, New York, NY", "123 W 42nd St, New York, NY"},
+      {"Lee, Mary", "M. Lee"},
+      {"Street", "St"}};
+  CorpusFrequency global;
+  FrequencyTermScorer scorer(&global);
+  for (const auto& [s, t] : pairs) {
+    global.Add(s);
+    scorer.AddStructureString(s);
+  }
+  const size_t small_string = std::string().capacity();
+  for (const TermScorer* maybe_scorer :
+       {static_cast<const TermScorer*>(nullptr),
+        static_cast<const TermScorer*>(&scorer)}) {
+    GraphBuilderOptions options;
+    options.scorer = maybe_scorer;
+    LabelInterner interner;
+    GraphBuilder builder(options, &interner);
+    for (const auto& [s, t] : pairs) {
+      ASSERT_TRUE(builder.Build(s, t).ok());
+      // Constructed inside the counted scope, destroyed outside it.
+      std::optional<Result<TransformationGraph>> graph;
+      const size_t news =
+          CountNews([&] { graph.emplace(builder.Build(s, t)); });
+      ASSERT_TRUE(graph->ok());
+      const size_t expected = 3 + (s.size() > small_string ? 1 : 0) +
+                              (t.size() > small_string ? 1 : 0);
+      EXPECT_EQ(news, expected)
+          << s << " -> " << t << (maybe_scorer ? " with" : " without")
+          << " a scorer";
     }
   }
 }

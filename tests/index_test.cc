@@ -78,12 +78,10 @@ TEST(PostingTest, JoinKeepsGraphAndStartTakesEnd) {
 }
 
 TEST(InvertedIndexTest, BuildIndexesEveryLabel) {
-  TransformationGraph a("s1", "xy");
-  a.AddLabel(1, 2, 0);
-  a.AddLabel(2, 3, 1);
-  TransformationGraph b("s2", "pq");
-  b.AddLabel(1, 3, 0);
-  std::vector<TransformationGraph> graphs = {a, b};
+  std::vector<EdgeLabel> a = {{1, 2, 0}, {2, 3, 1}};
+  std::vector<EdgeLabel> b = {{1, 3, 0}};
+  std::vector<TransformationGraph> graphs = {
+      TransformationGraph("s1", "xy", &a), TransformationGraph("s2", "pq", &b)};
   InvertedIndex index = InvertedIndex::Build(graphs);
   EXPECT_EQ(index.ListLength(0), 2u);
   EXPECT_EQ(index.ListLength(1), 1u);
@@ -365,7 +363,8 @@ TEST(InvertedIndexBuildTest, EmptyAndLabelFreeInputs) {
   EXPECT_EQ(InvertedIndex::Build({}).NumLabels(), 0u);
   // A graph with no labels at all: nothing to index, scanned or hinted.
   std::vector<TransformationGraph> graphs;
-  graphs.emplace_back("src", "tgt");
+  std::vector<EdgeLabel> none;
+  graphs.emplace_back("src", "tgt", &none);
   EXPECT_EQ(InvertedIndex::Build(graphs).NumLabels(), 0u);
   EXPECT_EQ(InvertedIndex::Build(graphs).ListLength(0), 0u);
   EXPECT_EQ(InvertedIndex::Build(graphs, nullptr, 0, 8).NumLabels(), 0u);

@@ -392,39 +392,55 @@ leg_bench() {
 # fails unless the exact work counters repeat in every pass. The
 # benchmark calls library APIs directly (GraphBuilder::BuildBatch,
 # InvertedIndex::Build), so this is the leg that notices when a library
-# change breaks it. The run's work is pinned too: each counter
-# layer_diff.py holds exact on paper3_serial (EXACT_ON_SERIAL) must read
-# its value below. A change that moves the work updates the pins in its
-# own diff.
+# change breaks it. The runs' work is pinned too: on paper3_serial each
+# counter layer_diff.py holds exact (EXACT_ON_SERIAL), and on
+# small_stream, where graph build weighs most, its graph, index, replace
+# and search counters (seeds 7, 8 and 9 read the same values). A change
+# that moves the work updates the pins in its own diff.
 leg_perfbench() {
   mkdir -p .bench_build
   python3 perfbench/run.py --workload paper3_serial --seed 7 --seconds 1 \
     --trace 1 > .bench_build/perfbench_serial.out
-  python3 -B - .bench_build/perfbench_serial.out <<'PY'
+  python3 perfbench/run.py --workload small_stream --seed 7 --seconds 1 \
+    --trace 1 > .bench_build/perfbench_stream.out
+  python3 -B - .bench_build/perfbench_serial.out \
+    .bench_build/perfbench_stream.out <<'PY'
 import json
 import sys
 
 sys.path.insert(0, "perfbench")
 from layer_diff import EXACT_ON_SERIAL
 
-PINNED = {
+SERIAL = {
     "grouping.searches": 4248, "grouping.expansions": 995332,
     "grouping.cache_hits": 151, "pipeline.questions": 129,
     "pipeline.backend_calls": 129, "replace.pairs": 4430,
     "replace.edits": 581, "graph.graphs": 4430, "graph.labels": 330451,
     "index.postings": 1277175,
 }
-with open(sys.argv[1], encoding="utf-8") as handle:
-    metrics = json.loads(handle.read().splitlines()[-1])["metrics"]
-bad = []
-for name in EXACT_ON_SERIAL:
-    observed = metrics.get(name, {}).get("value")
-    if observed != PINNED.get(name):
-        bad.append(f"{name}: pinned {PINNED.get(name)}, observed {observed}")
-if bad:
-    print("perfbench: paper3_serial work moved\n  " + "\n  ".join(bad))
-    sys.exit(1)
-print(f"perfbench: paper3_serial work matches {len(EXACT_ON_SERIAL)} pins")
+STREAM = {
+    "graph.graphs": 23018, "graph.labels": 1954612,
+    "index.postings": 5185188, "replace.pairs": 23018,
+    "replace.edits": 2666, "grouping.searches": 15480,
+    "grouping.expansions": 1242802,
+}
+RUNS = (("paper3_serial", EXACT_ON_SERIAL, SERIAL),
+        ("small_stream", tuple(STREAM), STREAM))
+failed = False
+for path, (workload, names, pinned) in zip(sys.argv[1:], RUNS):
+    with open(path, encoding="utf-8") as handle:
+        metrics = json.loads(handle.read().splitlines()[-1])["metrics"]
+    bad = []
+    for name in names:
+        observed = metrics.get(name, {}).get("value")
+        if observed != pinned.get(name):
+            bad.append(f"{name}: pinned {pinned.get(name)}, observed {observed}")
+    if bad:
+        print(f"perfbench: {workload} work moved\n  " + "\n  ".join(bad))
+        failed = True
+    else:
+        print(f"perfbench: {workload} work matches {len(names)} pins")
+sys.exit(1 if failed else 0)
 PY
 }
 
