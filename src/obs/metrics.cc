@@ -13,35 +13,9 @@
 
 namespace ustl {
 
-namespace {
-
-// Round-robin shard assignment: each new thread takes the next slot.
-// Hashing std::this_thread::get_id would work too, but round-robin
-// guarantees the first kMetricShards threads never collide, and the
-// service's worker pool is created once and lives for the process.
-std::atomic<size_t> g_next_shard{0};
-
-size_t AssignShard() {
-  return g_next_shard.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-}
-
-}  // namespace
-
-size_t MetricShardIndex() {
-  thread_local size_t shard = AssignShard();
-  return shard;
-}
-
 Histogram::Histogram(std::vector<int64_t> upper_bounds)
-    : upper_bounds_(std::move(upper_bounds)) {
-  const size_t buckets = upper_bounds_.size() + 1;  // + the +Inf bucket
-  for (Shard& shard : shards_) {
-    shard.buckets.reset(new std::atomic<uint64_t>[buckets]);
-    for (size_t i = 0; i < buckets; ++i) {
-      shard.buckets[i].store(0, std::memory_order_relaxed);
-    }
-  }
-}
+    : upper_bounds_(std::move(upper_bounds)),
+      buckets_(upper_bounds_.size() + 1) {}
 
 void Histogram::Observe(int64_t value) {
   size_t bucket = upper_bounds_.size();  // +Inf unless a bound catches it
@@ -51,22 +25,18 @@ void Histogram::Observe(int64_t value) {
       break;
     }
   }
-  Shard& shard = shards_[MetricShardIndex()];
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 Histogram::Snapshot Histogram::Aggregate() const {
   Snapshot snap;
-  snap.bucket_counts.assign(upper_bounds_.size() + 1, 0);
-  for (const Shard& shard : shards_) {
-    for (size_t i = 0; i < snap.bucket_counts.size(); ++i) {
-      snap.bucket_counts[i] += shard.buckets[i].load(std::memory_order_relaxed);
-    }
-    snap.sum += shard.sum.load(std::memory_order_relaxed);
-    snap.count += shard.count.load(std::memory_order_relaxed);
+  for (const std::atomic<uint64_t>& bucket : buckets_) {
+    snap.bucket_counts.push_back(bucket.load(std::memory_order_relaxed));
   }
+  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.count = count_.load(std::memory_order_relaxed);
   return snap;
 }
 

@@ -2,12 +2,13 @@
 // holds every counter, gauge and fixed-bucket latency histogram a process
 // exposes, with two properties the serving determinism contract needs:
 //
-//   * lock-cheap updates — counters and histograms are sharded across a
-//     fixed set of cache-line-padded atomic slots (a thread picks its
-//     slot once, via a thread-local index) and aggregated only on scrape,
-//     so the hot paths never contend on a registry lock and never feed a
-//     value back into scheduling or caching decisions (zero
-//     perturbation: metrics are write-only from the serving layers);
+//   * lock-free updates — a counter is one relaxed atomic and a histogram
+//     one array of atomic buckets plus an atomic sum and count. The
+//     service makes about a dozen updates per single-column request, too
+//     few for its workers to contend on these cache lines. Hot paths
+//     never take the registry lock and never feed a value back into
+//     scheduling or caching decisions (zero perturbation: metrics are
+//     write-only from the serving layers);
 //   * deterministic exposition — metrics render in registration order,
 //     never hash order, so two scrapes of identical state are
 //     byte-identical and text diffs between scrapes are stable.
@@ -36,41 +37,20 @@
 
 namespace ustl {
 
-/// Number of independent update slots per sharded metric. A thread hashes
-/// to one slot for its whole lifetime; 16 slots keep concurrent column
-/// jobs (the service runs at most the thread budget of them) off each
-/// other's cache lines without bloating every counter.
-constexpr size_t kMetricShards = 16;
-
-/// The slot index of the calling thread (stable for the thread lifetime).
-size_t MetricShardIndex();
-
-/// Monotonic counter. Increment is a relaxed atomic add on the calling
-/// thread's shard; Value() sums the shards (scrape-time only).
+/// Monotonic counter. Increment is a relaxed atomic add.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    shards_[MetricShardIndex()].value.fetch_add(delta,
-                                                std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Shard& shard : shards_) {
-      total += shard.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> value{0};
-  };
-  Shard shards_[kMetricShards];
+  std::atomic<uint64_t> value_{0};
 };
 
 /// Last-write-wins signed value (queue depths, cache sizes, breaker
-/// state). Set/Add are single atomic ops — gauges are written rarely
-/// (scrape-time collectors, admission events), so they do not shard.
+/// state). Set/Add are single atomic ops.
 class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
@@ -84,15 +64,15 @@ class Gauge {
 /// Fixed-bucket histogram (typically latency in microseconds). Bucket
 /// upper bounds are inclusive and fixed at registration; an implicit
 /// +Inf bucket catches the tail. Observe is a bucket scan (the bound
-/// lists are short) plus three relaxed adds on the caller's shard.
+/// lists are short) plus three relaxed adds.
 class Histogram {
  public:
   explicit Histogram(std::vector<int64_t> upper_bounds);
 
   void Observe(int64_t value);
 
-  /// Scrape-time aggregation: per-bucket (non-cumulative) counts in bound
-  /// order with the +Inf bucket last, plus sum and count of observations.
+  /// Scrape-time read: per-bucket (non-cumulative) counts in bound order
+  /// with the +Inf bucket last, plus sum and count of observations.
   struct Snapshot {
     std::vector<uint64_t> bucket_counts;
     int64_t sum = 0;
@@ -103,13 +83,10 @@ class Histogram {
   const std::vector<int64_t>& upper_bounds() const { return upper_bounds_; }
 
  private:
-  struct alignas(64) Shard {
-    std::unique_ptr<std::atomic<uint64_t>[]> buckets;
-    std::atomic<int64_t> sum{0};
-    std::atomic<uint64_t> count{0};
-  };
   std::vector<int64_t> upper_bounds_;  // ascending; +Inf implicit
-  Shard shards_[kMetricShards];
+  std::vector<std::atomic<uint64_t>> buckets_;  // one per bound, then +Inf
+  std::atomic<int64_t> sum_{0};
+  std::atomic<uint64_t> count_{0};
 };
 
 /// Default latency bucket bounds in microseconds: 100us .. 100s in decade

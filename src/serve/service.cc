@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "common/string_util.h"
@@ -37,6 +38,18 @@ uint64_t HashTableContent(const Table& table) {
     }
   }
   return hash;
+}
+
+/// Stall threshold in microseconds, or 0 when stall detection is off.
+/// The CancelState::SetDeadlineMs rule: a threshold past the steady
+/// clock's range can never be reached, so it is no threshold. Within the
+/// range it fits in microseconds, and a wait_for on it cannot overflow
+/// the clock.
+int64_t StallThresholdUs(int64_t ms) {
+  if (ms <= 0) return 0;
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      SteadyClock::time_point::max() - SteadyNow());
+  return ms < headroom.count() ? ms * 1000 : 0;
 }
 
 /// Span names the profiler gauges export self-times for: the closed set
@@ -161,8 +174,6 @@ void ConsolidationService::RegisterMetrics() {
   requests_deadline_exceeded_ = metrics_.RegisterCounter(
       "ustl_requests_deadline_exceeded_total",
       "Requests finalized with kDeadlineExceeded");
-  aged_grants_ = metrics_.RegisterCounter(
-      "ustl_aged_grants_total", "Fairness-aging out-of-cycle grants");
   requests_rejected_ = metrics_.RegisterCounter(
       "ustl_requests_rejected_total",
       "Submits rejected with kShuttingDown after drain began");
@@ -360,23 +371,18 @@ void ConsolidationService::Shutdown(bool drain) {
     const auto drained = [&] {
       return active_.empty() && running_jobs_ == 0 && admitting_ == 0;
     };
-    if (options_.stall_threshold_ms > 0) {
-      // A drain that outlives the stall threshold dumps the ring once —
-      // the last chance to see what the stuck requests were doing — then
-      // keeps waiting (the dump diagnoses the hang, it does not break it).
-      bool dumped = false;
-      while (!idle_cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.stall_threshold_ms),
-          drained)) {
-        if (dumped) continue;
-        dumped = true;
-        lock.unlock();
-        FireFlightDump("drain_timeout");
-        lock.lock();
-      }
-    } else {
-      idle_cv_.wait(lock, drained);
+    // A drain that outlives the stall threshold dumps the ring once — the
+    // last chance to see what the stuck requests were doing — then keeps
+    // waiting (the dump diagnoses the hang, it does not break it).
+    const int64_t threshold_us = StallThresholdUs(options_.stall_threshold_ms);
+    if (threshold_us > 0 &&
+        !idle_cv_.wait_for(lock, std::chrono::microseconds(threshold_us),
+                           drained)) {
+      lock.unlock();
+      FireFlightDump("drain_timeout");
+      lock.lock();
     }
+    idle_cv_.wait(lock, drained);
     if (final_snapshot_done_) return;
     final_snapshot_done_ = true;
   }
@@ -448,11 +454,10 @@ uint64_t ConsolidationService::Submit(Table* table, RequestOptions options) {
     }
     ++admitting_;
     request->id = next_id_++;
-    request->arrival = next_arrival_++;
     request->label = options.label.empty()
                          ? "request-" + std::to_string(request->id)
                          : std::move(options.label);
-    request->last_grant_seq = grant_seq_;  // aging clock starts at admission
+    request->last_grant_seq = grant_seq_;  // admission counts as served
     requests_.emplace(request->id, std::move(owned));
   }
   requests_admitted_->Increment();
@@ -497,8 +502,7 @@ uint64_t ConsolidationService::Submit(Table* table, RequestOptions options) {
   // guaranteed to open with kAdmitted — a worker cannot pick (and emit
   // verdicts for) a request the consumer has not seen admitted. Emit
   // never runs under mutex_, so a callback may read service state
-  // (stats(), CompletionOrder()); it still must not Submit/Wait (see
-  // RequestOptions::on_event).
+  // (stats()); it still must not Submit/Wait (see RequestOptions::on_event).
   ServeEvent event;
   event.kind = ServeEvent::Kind::kAdmitted;
   Emit(*request, std::move(event));
@@ -549,11 +553,6 @@ void ConsolidationService::Resume() {
   Pump();
 }
 
-std::vector<uint64_t> ConsolidationService::CompletionOrder() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return completion_order_;
-}
-
 ServiceStats ConsolidationService::stats() const {
   ServiceStats out;
   out.oracle = broker_.stats();
@@ -566,7 +565,6 @@ ServiceStats ConsolidationService::stats() const {
   out.columns_dispatched = columns_dispatched_->Value();
   out.requests_cancelled = requests_cancelled_->Value();
   out.requests_deadline_exceeded = requests_deadline_exceeded_->Value();
-  out.aged_grants = aged_grants_->Value();
   out.requests_rejected = requests_rejected_->Value();
   if (persist_ != nullptr) out.persist = persist_->stats();
   std::lock_guard<std::mutex> lock(mutex_);
@@ -597,70 +595,24 @@ void ConsolidationService::Pump() {
 }
 
 bool ConsolidationService::PickJob(Request** request, size_t* column) {
-  // Fairness aging: one grant per cycle is no guarantee when continuous
-  // fresh arrivals keep the cycle from ever closing — each newcomer is
-  // hungry in the *current* cycle, so a huge table that already took its
-  // grant can wait unboundedly for cycle_ to advance. A request passed
-  // over for aging_grant_threshold consecutive grants takes the next slot
-  // out of turn (oldest grant first, arrival breaking ties).
-  if (options_.aging_grant_threshold > 0) {
-    Request* starved = nullptr;
-    for (Request* candidate : active_) {
-      if (candidate->dispatched >= candidate->columns.size()) continue;
-      if (grant_seq_ - candidate->last_grant_seq <
-          options_.aging_grant_threshold) {
-        continue;
-      }
-      if (starved == nullptr ||
-          candidate->last_grant_seq < starved->last_grant_seq ||
-          (candidate->last_grant_seq == starved->last_grant_seq &&
-           candidate->arrival < starved->arrival)) {
-        starved = candidate;
-      }
-    }
-    if (starved != nullptr) {
-      aged_grants_->Increment();
-      starved->granted_cycle = cycle_;
-      starved->last_grant_seq = ++grant_seq_;
-      *request = starved;
-      *column = starved->dispatched++;
-      return true;
-    }
+  // Least recently served first (see the file comment). Each grant takes
+  // a fresh grant_seq_, so the request just served sorts after every
+  // other hungry one; ties arise only with requests admitted before the
+  // next grant.
+  const auto order = [](const Request* r) {
+    return std::make_tuple(r->last_grant_seq, r->columns.size() - r->dispatched,
+                           r->id);
+  };
+  Request* pick = nullptr;
+  for (Request* candidate : active_) {
+    if (candidate->dispatched >= candidate->columns.size()) continue;
+    if (pick == nullptr || order(candidate) < order(pick)) pick = candidate;
   }
-  // Weighted round-robin (see the file comment): one column per request
-  // per cycle, requests within a cycle ordered fewest-remaining-first
-  // with arrival breaking ties.
-  for (;;) {
-    Request* pick = nullptr;
-    bool any_undispatched = false;
-    for (Request* candidate : active_) {
-      if (candidate->dispatched >= candidate->columns.size()) continue;
-      any_undispatched = true;
-      if (candidate->granted_cycle >= cycle_) continue;  // served this cycle
-      if (pick == nullptr) {
-        pick = candidate;
-        continue;
-      }
-      const size_t candidate_left =
-          candidate->columns.size() - candidate->dispatched;
-      const size_t pick_left = pick->columns.size() - pick->dispatched;
-      if (candidate_left < pick_left ||
-          (candidate_left == pick_left &&
-           candidate->arrival < pick->arrival)) {
-        pick = candidate;
-      }
-    }
-    if (pick == nullptr) {
-      if (!any_undispatched) return false;
-      ++cycle_;  // every hungry request was served this cycle; next round
-      continue;
-    }
-    pick->granted_cycle = cycle_;
-    pick->last_grant_seq = ++grant_seq_;
-    *request = pick;
-    *column = pick->dispatched++;
-    return true;
-  }
+  if (pick == nullptr) return false;
+  pick->last_grant_seq = ++grant_seq_;
+  *request = pick;
+  *column = pick->dispatched++;
+  return true;
 }
 
 void ConsolidationService::RunJobs() {
@@ -849,7 +801,6 @@ void ConsolidationService::FinalizeRequest(Request* request) {
     request->results.clear();
     request->results.shrink_to_fit();
     request->done = true;
-    completion_order_.push_back(request->id);
     requests_completed_->Increment();
     if (request->status == RequestStatus::kCancelled) {
       requests_cancelled_->Increment();
@@ -906,8 +857,8 @@ void ConsolidationService::EmitForRequestId(uint64_t id, ServeEvent event) {
 }
 
 size_t ConsolidationService::CheckStalls() {
-  if (options_.stall_threshold_ms <= 0) return 0;
-  const int64_t threshold_us = options_.stall_threshold_ms * 1000;
+  const int64_t threshold_us = StallThresholdUs(options_.stall_threshold_ms);
+  if (threshold_us == 0) return 0;
   size_t stalled = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -8,15 +8,18 @@
 // streamed back per request — the shape long-lived query engines use to
 // amortize index and cache warmth over independent queries.
 //
-// Fairness. Admitted requests are served by a weighted round-robin over
-// their column jobs: each cycle grants every active request one column,
-// requests within a cycle ordered by fewest remaining columns first
-// (arrival order breaks ties). A small table therefore drains within one
-// cycle of arriving — a huge table ahead of it in the queue cannot
-// starve it — while the huge table keeps receiving every slot nobody
-// smaller needs. Admission itself is bounded (ServiceOptions::
-// max_pending_requests): Submit blocks until the backlog drains, the
-// standard back-pressure contract.
+// Fairness. Each free worker slot goes to the least recently served
+// request with an undispatched column: the one whose last grant (or
+// admission, before its first) is oldest by the grant counter, then the
+// one with the fewest undispatched columns, then the lower request id.
+// A grant moves its request behind every other hungry request, so
+// between two grants of one request every other admitted request is
+// granted at most once: a request waits fewer than max_pending_requests
+// grants for its next column, however many tables keep arriving. A small
+// table admitted behind a huge one therefore runs next, and the huge
+// table keeps every slot nobody else needs. Admission itself is bounded
+// (ServiceOptions::max_pending_requests): Submit blocks until the
+// backlog drains, the standard back-pressure contract.
 //
 // Determinism contract. Per-table output is byte-identical to a serial
 // single-table run for ANY thread count, admission interleaving and
@@ -102,14 +105,6 @@ struct ServiceOptions {
   /// called directly, exactly the pre-retry behavior.
   bool enable_retry = false;
   RetryingOracle::Options retry;
-  /// Fairness aging: a request with undispatched columns that has been
-  /// passed over for this many consecutive grants receives the next slot
-  /// regardless of the round-robin cycle (stats().aged_grants counts
-  /// them). Guards against continuous small-table arrivals pinning the
-  /// cycle open so a huge table's one-grant-per-cycle never comes around
-  /// again. 0 disables aging. Dispatch order only — output bytes are
-  /// admission-order-independent either way.
-  size_t aging_grant_threshold = 64;
   /// Directory for durable warm state (src/persist/): the broker's
   /// verdict cache and approved log are WAL-logged as they grow,
   /// snapshotted on compaction and shutdown, and recovered into the
@@ -124,9 +119,10 @@ struct ServiceOptions {
   DurableState::Options persist;
   /// A request active longer than this (milliseconds) is considered
   /// stalled: the next CheckStalls() call fires one flight-recorder dump
-  /// for it (latched per request). Also bounds the Shutdown(drain) wait
-  /// between dump-free checks: a drain blocked past the threshold dumps
-  /// once with reason "drain_timeout". 0 disables stall detection.
+  /// for it (latched per request). A Shutdown(drain) blocked past the
+  /// threshold dumps once with reason "drain_timeout". 0 disables stall
+  /// detection, and so does a threshold past the steady clock's range
+  /// (it could never be reached).
   int64_t stall_threshold_ms = 0;
   /// Receives each flight-recorder dump (one JSON object, schema in
   /// obs/flight_recorder.h) — the CLI writes it to --flight-dump, tests
@@ -255,8 +251,6 @@ struct ServiceStats {
   /// Requests finalized with status kCancelled / kDeadlineExceeded.
   size_t requests_cancelled = 0;
   size_t requests_deadline_exceeded = 0;
-  /// Fairness-aging preemptions (grants awarded out of cycle order).
-  size_t aged_grants = 0;
   /// Submits rejected with kShuttingDown after drain began.
   size_t requests_rejected = 0;
   /// Durability counters; all zero unless persist_dir is set.
@@ -316,10 +310,6 @@ class ConsolidationService {
   /// and safe from any thread, including a signal-watcher.
   void Shutdown(bool drain = true);
 
-  /// Request handles in completion order — the observable the fairness
-  /// policy is judged by.
-  std::vector<uint64_t> CompletionOrder() const;
-
   ServiceStats stats() const;
 
   /// The shared broker's deduplicated approved-transformation log,
@@ -348,12 +338,12 @@ class ConsolidationService {
   /// mutex acquire and one slot copy (priced by the obs_overhead gate).
   FlightRecorder* flight_recorder() const { return recorder_.get(); }
 
-  /// Stall watchdog hook: scans admitted requests and fires one
-  /// flight-recorder dump (reason "stall", latched per request) for each
-  /// that has been active longer than stall_threshold_ms. The CLI's
-  /// shutdown-watcher thread polls this; tests call it directly. Returns
-  /// the number of dumps fired. No-op (0) when the recorder is disabled
-  /// or the threshold is 0.
+  /// Stall watchdog hook: finds the admitted requests active longer than
+  /// stall_threshold_ms that have not dumped yet (latched per request)
+  /// and fires one flight-recorder dump (reason "stall") covering them.
+  /// The CLI's shutdown-watcher thread polls this; tests call it
+  /// directly. Returns the number of newly stalled requests; 0, and no
+  /// dump, when stall detection is off (see stall_threshold_ms).
   size_t CheckStalls();
 
  private:
@@ -367,10 +357,9 @@ class ConsolidationService {
     std::vector<ColumnRunResult> results;
     size_t dispatched = 0;  // columns handed to workers (== next column)
     size_t completed = 0;   // columns finished
-    uint64_t arrival = 0;
-    uint64_t granted_cycle = 0;  // fairness: last round-robin cycle served
-    uint64_t last_grant_seq = 0;  // fairness aging: global grant counter
-                                  // value when this request last got a slot
+    /// Fairness: grant_seq_ when this request last got a slot, or when it
+    /// was admitted if it has had none.
+    uint64_t last_grant_seq = 0;
     bool done = false;
     std::exception_ptr error;  // first failing column's exception
     /// Cooperative cancellation state shared with every layer below
@@ -471,12 +460,9 @@ class ConsolidationService {
   std::condition_variable admission_cv_;  // queue-space waiters
   std::condition_variable idle_cv_;       // destructor drain
   std::unordered_map<uint64_t, std::unique_ptr<Request>> requests_;
-  std::vector<Request*> active_;  // admitted, not finalized; arrival order
-  std::vector<uint64_t> completion_order_;
-  uint64_t next_id_ = 1;
-  uint64_t next_arrival_ = 0;
-  uint64_t cycle_ = 1;      // fairness round-robin cycle
-  uint64_t grant_seq_ = 0;  // total grants; drives fairness aging
+  std::vector<Request*> active_;  // admitted, not finalized
+  uint64_t next_id_ = 1;          // ids follow admission order
+  uint64_t grant_seq_ = 0;        // total grants; the fairness clock
   /// Requests past the admission check but not yet in active_ (their
   /// kAdmitted event is being emitted outside the lock); counted against
   /// max_pending_requests so concurrent Submits cannot overshoot it.
@@ -494,7 +480,7 @@ class ConsolidationService {
 
   /// The unified registry and its registry-native instruments: the
   /// lifecycle counters below ARE the service's stats storage (stats()
-  /// sums their shards), so the scrape, ServiceStats and the CLI all
+  /// reads them), so the scrape, ServiceStats and the CLI all
   /// read one source of truth. Handles are registered in the
   /// constructor and stay valid for the service lifetime; increments
   /// are relaxed atomic adds (no lock, no feedback into scheduling).
@@ -507,7 +493,6 @@ class ConsolidationService {
   Counter* columns_dispatched_ = nullptr;
   Counter* requests_cancelled_ = nullptr;
   Counter* requests_deadline_exceeded_ = nullptr;
-  Counter* aged_grants_ = nullptr;
   Counter* requests_rejected_ = nullptr;
   /// Grouping work counters, folded in once per completed column job
   /// from its ColumnRunResult (the engines stay registry-free).

@@ -1,4 +1,4 @@
-// Tests for src/obs: the metrics registry (sharded counters, gauges,
+// Tests for src/obs: the metrics registry (atomic counters, gauges,
 // fixed-bucket histograms, registration-ordered exposition) and the
 // per-request tracing primitives (span ids, RAII emission, null-sink
 // inertness, JSON-lines schema). The concurrency tests double as TSan

@@ -1,8 +1,8 @@
 // Tests for src/serve: the long-lived ConsolidationService. Pins the
 // ISSUE 5 acceptance matrix — per-table byte-identity against a serial
 // single-table run across threads {1,2,4} x admission-order permutations
-// x warm/cold cache state — plus the weighted round-robin fairness
-// policy, the streamed event contract, bounded admission, the
+// x warm/cold cache state — plus the least-recently-served fairness
+// rule, the streamed event contract, bounded admission, the
 // cross-request search-cache warmth and error propagation.
 #include <gtest/gtest.h>
 
@@ -10,12 +10,14 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "consolidate/oracle.h"
@@ -111,10 +113,11 @@ TEST(ConsolidationServiceTest,
 
 TEST(ConsolidationServiceTest, FairnessSmallTableOvertakesHugeTable) {
   // A huge table admitted first and a 1-column table admitted second:
-  // under weighted round-robin the small table gets the very next column
-  // slot and completes while the huge one is mid-flight. start_paused
-  // makes the dispatch order reproducible (both requests are queued
-  // before any job runs), and one worker makes it fully deterministic.
+  // both are unserved, so the small table (fewer columns left) gets the
+  // very next column slot and completes while the huge one is
+  // mid-flight. start_paused makes the dispatch order reproducible (both
+  // requests are queued before any job runs), and one worker makes it
+  // fully deterministic.
   Table huge = MakeTable("Huge", 5, 6);
   Table small = MakeTable("Tiny", 1, 3);
   ServiceOptions options;
@@ -123,16 +126,129 @@ TEST(ConsolidationServiceTest, FairnessSmallTableOvertakesHugeTable) {
   options.start_paused = true;
   ApproveAllOracle oracle;
   ConsolidationService service(&oracle, options);
-  const uint64_t huge_handle = service.Submit(&huge);
-  const uint64_t small_handle = service.Submit(&small);
+  std::vector<uint64_t> order;  // serialized callback: no lock needed
+  RequestOptions request;
+  request.on_event = [&order](const ServeEvent& event) {
+    if (event.kind == ServeEvent::Kind::kRequestDone) {
+      order.push_back(event.request);
+    }
+  };
+  const uint64_t huge_handle = service.Submit(&huge, request);
+  const uint64_t small_handle = service.Submit(&small, request);
   service.Resume();
   service.Wait(small_handle);
   service.Wait(huge_handle);
-  const std::vector<uint64_t> order = service.CompletionOrder();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], small_handle);
   EXPECT_EQ(order[1], huge_handle);
   EXPECT_EQ(service.stats().max_concurrent_requests, 2u);
+}
+
+TEST(ConsolidationServiceTest, LeastRecentlyServedFirstPinsBatchOrder) {
+  // Five tables of 3/1/2/4/1 columns queued before any job runs, one
+  // worker: the order of kColumnDone events is the grant order. All start
+  // unserved, so fewest-columns-first then id decides B E C A D; from
+  // then on each grant goes to the request served longest ago.
+  const std::vector<std::pair<std::string, size_t>> shapes = {
+      {"A", 3}, {"B", 1}, {"C", 2}, {"D", 4}, {"E", 1}};
+  ServiceOptions options;
+  options.framework = TestFramework();
+  options.num_threads = 1;
+  options.start_paused = true;
+  ApproveAllOracle oracle;
+  ConsolidationService service(&oracle, options);
+  std::vector<Table> tables;
+  for (const auto& [name, columns] : shapes) {
+    tables.push_back(MakeTable(name, columns, 3));
+  }
+  std::string order;  // serialized callback: no lock needed
+  std::vector<uint64_t> handles;
+  for (size_t t = 0; t < tables.size(); ++t) {
+    RequestOptions request;
+    request.label = shapes[t].first;
+    request.on_event = [&order](const ServeEvent& event) {
+      if (event.kind == ServeEvent::Kind::kColumnDone) order += event.label;
+    };
+    handles.push_back(service.Submit(&tables[t], std::move(request)));
+  }
+  service.Resume();
+  for (uint64_t handle : handles) service.Wait(handle);
+  EXPECT_EQ(order, "BECADCADADD");
+}
+
+TEST(ConsolidationServiceTest, WideTableKeepsItsTurnUnderStreamOfArrivals) {
+  // One worker serves a 6-column table while every presented group, of
+  // any request, submits one more 1-column table from the progress
+  // callback, so fresh requests keep arriving until kArrivals are in.
+  // Only requests already waiting at the wide table's grant may go ahead
+  // of it before its next one: it must not wait for the stream to dry up.
+  constexpr size_t kArrivals = 40;
+  Table wide = MakeTable("Wide", 6, 6);
+  std::vector<Table> arrivals;
+  for (size_t i = 0; i < kArrivals; ++i) {
+    arrivals.push_back(MakeTable("Arrival" + std::to_string(i) + "x", 1, 3));
+  }
+  // Callbacks run on the one worker, one at a time: no lock needed. All
+  // of this outlives the service, whose destructor drains the stream.
+  std::vector<uint64_t> grants;    // request of each kColumnDone, in order
+  std::vector<uint64_t> finished;  // request of each kRequestDone, in order
+  std::vector<uint64_t> handles(kArrivals);
+  size_t submitted = 0;
+  std::promise<void> all_submitted;
+  RequestOptions request;
+
+  ServiceOptions options;
+  // Below max_pending_requests: a Submit from the only worker that
+  // blocked on a full backlog would deadlock the service.
+  ASSERT_LT(kArrivals + 1, options.max_pending_requests);
+  options.num_threads = 1;
+  ApproveAllOracle oracle;
+  ConsolidationService service(&oracle, options);
+  request.on_event = [&](const ServeEvent& event) {
+    if (event.kind == ServeEvent::Kind::kColumnDone) {
+      grants.push_back(event.request);
+    } else if (event.kind == ServeEvent::Kind::kRequestDone) {
+      finished.push_back(event.request);
+    }
+  };
+  request.framework = TestFramework();
+  request.framework->progress_callback = [&](size_t, const Column&) {
+    if (submitted == kArrivals) return;
+    handles[submitted] = service.Submit(&arrivals[submitted], request);
+    if (++submitted == kArrivals) all_submitted.set_value();
+  };
+  const uint64_t wide_handle = service.Submit(&wide, request);
+  ASSERT_EQ(all_submitted.get_future().wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  for (uint64_t handle : handles) {
+    EXPECT_EQ(service.Wait(handle).status, RequestStatus::kOk);
+  }
+  EXPECT_EQ(service.Wait(wide_handle).status, RequestStatus::kOk);
+
+  ASSERT_EQ(finished.size(), kArrivals + 1);
+  const size_t wide_rank =
+      std::find(finished.begin(), finished.end(), wide_handle) -
+      finished.begin();
+  const size_t last_rank =
+      std::find(finished.begin(), finished.end(), handles.back()) -
+      finished.begin();
+  EXPECT_LT(wide_rank, last_rank);
+  // Grants other requests took between two of the wide table's own.
+  size_t longest_wait = 0;
+  size_t wait = 0;
+  size_t wide_grants = 0;
+  for (uint64_t id : grants) {
+    if (id != wide_handle) {
+      ++wait;
+      continue;
+    }
+    if (wide_grants++ > 0) longest_wait = std::max(longest_wait, wait);
+    wait = 0;
+  }
+  EXPECT_EQ(wide_grants, 6u);
+  // Only requests hungry at the wide table's last grant, or admitted
+  // before the next grant, can go ahead of it: 4 here, of 40 arrivals.
+  EXPECT_LE(longest_wait, 8u);
 }
 
 TEST(ConsolidationServiceTest, WarmSearchCacheSkipsRepeatedSearches) {
@@ -674,36 +790,6 @@ TEST(ServiceFaultToleranceTest, OpenBreakerStillServesCachedVerdicts) {
   EXPECT_EQ(after.retry.short_circuits, before.retry.short_circuits);
 }
 
-TEST(ConsolidationServiceTest, AgingKeepsOutputByteIdentical) {
-  // An aggressive aging threshold reorders grants, never bytes: with
-  // multi-column tables and threshold 1 the scheduler constantly
-  // preempts, and each table still matches its serial baseline.
-  const std::vector<Table> originals = {MakeTable("Oak", 3, 5),
-                                        MakeTable("Pine", 3, 4),
-                                        MakeTable("Ash", 2, 6)};
-  std::vector<std::string> baselines;
-  for (const Table& table : originals) {
-    baselines.push_back(SerialFingerprint(table));
-  }
-  ServiceOptions options;
-  options.framework = TestFramework();
-  options.num_threads = 2;
-  options.start_paused = true;
-  options.aging_grant_threshold = 1;
-  ApproveAllOracle oracle;
-  ConsolidationService service(&oracle, options);
-  std::vector<Table> tables = originals;
-  std::vector<uint64_t> handles;
-  for (Table& table : tables) handles.push_back(service.Submit(&table));
-  service.Resume();
-  for (size_t t = 0; t < tables.size(); ++t) {
-    RequestResult result = service.Wait(handles[t]);
-    EXPECT_EQ(FingerprintConsolidation(tables[t], result.golden_records),
-              baselines[t]);
-  }
-  EXPECT_GT(service.stats().aged_grants, 0u);
-}
-
 TEST(ServiceObservabilityTest, TracingNeverPerturbsOutputOrOracleTraffic) {
   // The ISSUE 8 zero-perturbation gate at test scope: the same workload
   // through a traced service and an untraced one must produce
@@ -995,6 +1081,28 @@ TEST(ServiceObservabilityTest, StallWatchdogDumpsSlowRequestsOnce) {
   EXPECT_EQ(result.status, RequestStatus::kOk);
   ASSERT_EQ(dumps.size(), 1u);
   EXPECT_NE(dumps[0].find("\"reason\": \"stall\""), std::string::npos);
+}
+
+TEST(ServiceObservabilityTest, StallThresholdBeyondTheClockNeverTrips) {
+  // A threshold too far out for the steady clock can never be reached:
+  // neither the watchdog nor a draining Shutdown may dump, however young
+  // the request.
+  std::vector<std::string> dumps;
+  ServiceOptions options;
+  options.framework = TestFramework();
+  options.start_paused = true;  // the request stays active until Shutdown
+  options.stall_threshold_ms = std::numeric_limits<int64_t>::max();
+  options.flight_dump_sink = [&dumps](const std::string& dump) {
+    dumps.push_back(dump);
+  };
+  ApproveAllOracle oracle;
+  ConsolidationService service(&oracle, options);
+  Table table = MakeTable("Far", 1, 4);
+  const uint64_t handle = service.Submit(&table);
+  EXPECT_EQ(service.CheckStalls(), 0u);
+  service.Shutdown(/*drain=*/true);  // resumes, then drains
+  EXPECT_EQ(service.Wait(handle).status, RequestStatus::kOk);
+  EXPECT_TRUE(dumps.empty());
 }
 
 TEST(ServiceShutdownTest, DrainRejectsNewSubmitsButFinishesInFlight) {

@@ -448,11 +448,13 @@ PY
 # machinery and the WAL/snapshot layer are only honest if an instrumented
 # run agrees (-DUSTL_TSAN=ON also builds GoogleTest from source).
 leg_tsan() {
+  tests="parallel_test grouping_test pipeline_test serve_test robustness_test"
+  tests="$tests obs_test persist_test"
   cmake -B build-tsan -S . -DUSTL_TSAN=ON
-  cmake --build build-tsan -j"$JOBS" --target parallel_test grouping_test \
-    pipeline_test serve_test robustness_test obs_test persist_test
+  # shellcheck disable=SC2086
+  cmake --build build-tsan -j"$JOBS" --target $tests
   (cd build-tsan && ctest --output-on-failure \
-    -R "parallel_test|grouping_test|pipeline_test|serve_test|robustness_test|obs_test|persist_test")
+    -R "$(echo "$tests" | tr ' ' '|')")
 }
 
 # Every test binary with memory errors, UB and libstdc++ assertion
