@@ -89,16 +89,15 @@ size_t ApplyTransformation(Column* column,
     // its two values, so every candidate with the same (lhs, rhs) was a
     // member of the approved group; candidates appended by this
     // transformation's own edits are excluded, just as the live session's
-    // grouping snapshot excluded them.
+    // grouping snapshot excluded them. Pairs are unique by (lhs, rhs), so
+    // each recorded pair is one lookup.
     const size_t snapshot = store.num_pairs();
     for (const StringPair& target : transformation.pairs) {
-      for (size_t i = 0; i < snapshot; ++i) {
-        if (store.occurrences(i).empty()) continue;
-        if (!(store.pair(i) == target)) continue;
-        edits += transformation.direction == ReplaceDirection::kLhsToRhs
-                     ? store.Apply(i)
-                     : store.ApplyReverse(i);
-      }
+      const size_t i = store.Find(target.lhs, target.rhs);
+      if (i >= snapshot || store.occurrences(i).empty()) continue;
+      edits += transformation.direction == ReplaceDirection::kLhsToRhs
+                   ? store.Apply(i)
+                   : store.ApplyReverse(i);
     }
     *column = store.column();
     return edits;

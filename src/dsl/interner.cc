@@ -1,66 +1,18 @@
 #include "dsl/interner.h"
 
-#include <functional>
-
 namespace ustl {
-namespace {
-
-// One multiply-xorshift round (the murmur3 finalizer constant). The table
-// index is the low bits of the hash, and the shift folds the high half of
-// every field into them.
-uint64_t Mix(uint64_t hash, uint64_t value) {
-  hash = (hash ^ value) * 0xff51afd7ed558ccdULL;
-  return hash ^ (hash >> 32);
-}
-
-constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ULL;
-
-uint64_t HashString(std::string_view value) {
-  return Mix(kSeed, std::hash<std::string_view>{}(value));
-}
-
-// The slot of `slots` holding the id that satisfies `equal`, or the empty
-// slot where such an id would go.
-template <typename Equal>
-size_t Probe(const std::vector<uint32_t>& slots, uint64_t hash,
-             const Equal& equal) {
-  const size_t mask = slots.size() - 1;
-  for (size_t slot = hash & mask;; slot = (slot + 1) & mask) {
-    const uint32_t id = slots[slot];
-    if (id == UINT32_MAX || equal(id)) return slot;
-  }
-}
-
-// Seats the new `id` in its empty `slot`. When that fills the table past
-// half, doubles it and re-seats ids 0 .. id by hash_of(id).
-template <typename HashOf>
-void Seat(std::vector<uint32_t>* slots, size_t slot, uint32_t id,
-          const HashOf& hash_of) {
-  (*slots)[slot] = id;
-  const size_t count = static_cast<size_t>(id) + 1;
-  if (2 * count <= slots->size()) return;
-  slots->assign(2 * slots->size(), UINT32_MAX);
-  const size_t mask = slots->size() - 1;
-  for (uint32_t other = 0; other < count; ++other) {
-    size_t at = hash_of(other) & mask;
-    while ((*slots)[at] != UINT32_MAX) at = (at + 1) & mask;
-    (*slots)[at] = other;
-  }
-}
-
-}  // namespace
 
 uint64_t LabelInterner::HashPos(const Pos& pos) {
   const uint64_t fields =
       pos.tag | (uint64_t{static_cast<uint8_t>(pos.dir)} << 8) |
       (uint64_t{static_cast<uint8_t>(pos.regex_class)} << 16) |
       (uint64_t{static_cast<uint32_t>(pos.k)} << 32);
-  return Mix(Mix(kSeed, fields), pos.literal);
+  return MixHash(MixHash(kIdHashSeed, fields), pos.literal);
 }
 
 uint64_t LabelInterner::HashLabel(const Label& label) {
-  return Mix(Mix(kSeed, static_cast<uint64_t>(label.kind)),
-             label.a | (uint64_t{label.b} << 32));
+  return MixHash(MixHash(kIdHashSeed, static_cast<uint64_t>(label.kind)),
+                 label.a | (uint64_t{label.b} << 32));
 }
 
 std::string_view LabelInterner::pool_string(uint32_t id) const {
@@ -70,49 +22,49 @@ std::string_view LabelInterner::pool_string(uint32_t id) const {
 }
 
 size_t LabelInterner::StringSlot(std::string_view value) const {
-  return Probe(string_slots_, HashString(value),
-               [&](uint32_t id) { return pool_string(id) == value; });
+  return ProbeIdSlot(string_slots_, HashBytes(value),
+                     [&](uint32_t id) { return pool_string(id) == value; });
 }
 
 size_t LabelInterner::PosSlot(const Pos& pos) const {
-  return Probe(pos_slots_, HashPos(pos),
-               [&](uint32_t id) { return positions_[id] == pos; });
+  return ProbeIdSlot(pos_slots_, HashPos(pos),
+                     [&](uint32_t id) { return positions_[id] == pos; });
 }
 
 size_t LabelInterner::LabelSlot(const Label& label) const {
-  return Probe(label_slots_, HashLabel(label),
-               [&](uint32_t id) { return labels_[id] == label; });
+  return ProbeIdSlot(label_slots_, HashLabel(label),
+                     [&](uint32_t id) { return labels_[id] == label; });
 }
 
 uint32_t LabelInterner::InternString(std::string_view value) {
   const size_t slot = StringSlot(value);
-  if (string_slots_[slot] != kEmptySlot) return string_slots_[slot];
+  if (string_slots_[slot] != kEmptyIdSlot) return string_slots_[slot];
   USTL_CHECK(string_bytes_.size() + value.size() <= UINT32_MAX);
   const uint32_t id = static_cast<uint32_t>(string_ends_.size());
   string_bytes_.append(value);
   string_ends_.push_back(static_cast<uint32_t>(string_bytes_.size()));
-  Seat(&string_slots_, slot, id,
-       [this](uint32_t other) { return HashString(pool_string(other)); });
+  SeatId(&string_slots_, slot, id,
+         [this](uint32_t other) { return HashBytes(pool_string(other)); });
   return id;
 }
 
 LabelInterner::PosId LabelInterner::InternPosRecord(const Pos& pos) {
   const size_t slot = PosSlot(pos);
-  if (pos_slots_[slot] != kEmptySlot) return pos_slots_[slot];
+  if (pos_slots_[slot] != kEmptyIdSlot) return pos_slots_[slot];
   const PosId id = static_cast<PosId>(positions_.size());
   positions_.push_back(pos);
-  Seat(&pos_slots_, slot, id,
-       [this](uint32_t other) { return HashPos(positions_[other]); });
+  SeatId(&pos_slots_, slot, id,
+         [this](uint32_t other) { return HashPos(positions_[other]); });
   return id;
 }
 
 LabelId LabelInterner::InternLabel(const Label& label) {
   const size_t slot = LabelSlot(label);
-  if (label_slots_[slot] != kEmptySlot) return label_slots_[slot];
+  if (label_slots_[slot] != kEmptyIdSlot) return label_slots_[slot];
   const LabelId id = static_cast<LabelId>(labels_.size());
   labels_.push_back(label);
-  Seat(&label_slots_, slot, id,
-       [this](uint32_t other) { return HashLabel(labels_[other]); });
+  SeatId(&label_slots_, slot, id,
+         [this](uint32_t other) { return HashLabel(labels_[other]); });
   return id;
 }
 
@@ -180,14 +132,14 @@ bool LabelInterner::FindPos(const PosFn& pos, PosId* id) const {
       record.regex_class = term.char_class();
     } else {
       const size_t literal = StringSlot(term.literal());
-      if (string_slots_[literal] == kEmptySlot) return false;
+      if (string_slots_[literal] == kEmptyIdSlot) return false;
       record.tag = Pos::kLiteral;
       record.literal = string_slots_[literal];
     }
   }
   const size_t slot = PosSlot(record);
   *id = pos_slots_[slot];
-  return *id != kEmptySlot;
+  return *id != kEmptyIdSlot;
 }
 
 bool LabelInterner::FindRecord(const StringFn& fn, Label* label) const {
@@ -195,7 +147,7 @@ bool LabelInterner::FindRecord(const StringFn& fn, Label* label) const {
   switch (fn.kind()) {
     case StringFn::Kind::kConstantStr:
       label->a = string_slots_[StringSlot(fn.constant())];
-      return label->a != kEmptySlot;
+      return label->a != kEmptyIdSlot;
     case StringFn::Kind::kSubStr:
       return FindPos(fn.left(), &label->a) && FindPos(fn.right(), &label->b);
     case StringFn::Kind::kPrefix:
@@ -211,7 +163,7 @@ bool LabelInterner::Lookup(const StringFn& fn, LabelId* id) const {
   Label label;
   if (!FindRecord(fn, &label)) return false;
   const LabelId found = label_slots_[LabelSlot(label)];
-  if (found == kEmptySlot) return false;
+  if (found == kEmptyIdSlot) return false;
   *id = found;
   return true;
 }

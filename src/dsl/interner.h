@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/id_table.h"
 #include "common/status.h"
 #include "dsl/string_function.h"
 
@@ -107,9 +108,9 @@ class LabelInterner {
     }
   };
 
-  static constexpr uint32_t kEmptySlot = UINT32_MAX;
-  // Open addressing with linear probing: a power-of-two array of ids at
-  // least twice as long as the number of ids in it.
+  // Open addressing with linear probing (common/id_table.h): a
+  // power-of-two array of ids at least twice as long as the number of ids
+  // in it.
   using Slots = std::vector<uint32_t>;
 
   static uint64_t HashPos(const Pos& pos);
@@ -132,14 +133,14 @@ class LabelInterner {
   PosFn MakePos(PosId id) const;
 
   std::vector<Label> labels_;  // by LabelId
-  Slots label_slots_ = Slots(16, kEmptySlot);
+  Slots label_slots_ = Slots(16, kEmptyIdSlot);
   std::vector<Pos> positions_;  // by PosId
-  Slots pos_slots_ = Slots(16, kEmptySlot);
+  Slots pos_slots_ = Slots(16, kEmptyIdSlot);
   // The constant strings back to back; string i ends at string_ends_[i]
   // and starts where string i - 1 ends.
   std::string string_bytes_;
   std::vector<uint32_t> string_ends_;
-  Slots string_slots_ = Slots(16, kEmptySlot);
+  Slots string_slots_ = Slots(16, kEmptyIdSlot);
 };
 
 /// A transformation path / program skeleton: the sequence of interned

@@ -79,7 +79,7 @@ size_t ReplacementStore::Apply(size_t index) {
 size_t ReplacementStore::ApplyReverse(size_t index) {
   USTL_CHECK(index < set_.pairs.size());
   const StringPair pair = set_.pairs[index];
-  size_t mirror = set_.Find(pair.rhs, pair.lhs);
+  const size_t mirror = set_.Find(pair.rhs, pair.lhs);
   if (mirror == static_cast<size_t>(-1)) return 0;
   return ApplyDirected(pair.rhs, pair.lhs, set_.occurrences[mirror]);
 }

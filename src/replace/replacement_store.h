@@ -4,15 +4,19 @@
 //
 // Whole-value occurrences are verified (cell must still equal lhs) and
 // rewritten to rhs; token-level occurrences are verified at their recorded
-// offset with a fallback scan for lhs inside the cell. After an edit, the
-// affected clusters' candidate pairs are regenerated and merged, which
+// offset, and a span that no longer holds lhs is skipped as stale. After
+// an edit, each touched cluster is re-derived whole: its entries are
+// dropped from every occurrence list, then one cluster pass
+// (GenerateForCluster) regenerates and merges its candidates, which
 // reproduces the update rules of Section 7.1 (entries migrate to the pairs
-// the new values form; emptied pairs die).
+// the new values form; emptied pairs die). Dropping first is what keeps a
+// pass's entries at the tail of each list, where its dedup looks.
 #ifndef USTL_REPLACE_REPLACEMENT_STORE_H_
 #define USTL_REPLACE_REPLACEMENT_STORE_H_
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "replace/candidate_gen.h"
@@ -29,6 +33,12 @@ class ReplacementStore {
   const std::vector<StringPair>& pairs() const { return set_.pairs; }
   const StringPair& pair(size_t index) const { return set_.pairs[index]; }
   size_t num_pairs() const { return set_.pairs.size(); }
+
+  /// Index of the pair `lhs -> rhs`, or SIZE_MAX. Pairs are unique by
+  /// (lhs, rhs), dead ones included.
+  size_t Find(std::string_view lhs, std::string_view rhs) const {
+    return set_.Find(lhs, rhs);
+  }
 
   /// The live occurrences of a pair; empty when the replacement no longer
   /// exists anywhere (Section 7.1 removes such replacements from Phi).

@@ -3,10 +3,7 @@
 // static orders (Appendix E) and the term scorer.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <optional>
 #include <set>
 #include <string>
@@ -18,61 +15,11 @@
 #include "graph/graph_builder.h"
 #include "graph/term_scorer.h"
 #include "graph/transformation_graph.h"
+#include "new_counter.h"
 #include "text/terms.h"
-
-// Global operator new, counted while g_count_news is set. Every
-// replaceable non-aligned form allocates and frees through malloc/free, so
-// sanitizer builds see matching pairs.
-namespace {
-std::atomic<bool> g_count_news{false};
-std::atomic<size_t> g_news{0};
-
-void* CountedNew(std::size_t size) {
-  if (g_count_news.load(std::memory_order_relaxed)) {
-    g_news.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* CountedNewNoThrow(std::size_t size) noexcept {
-  try {
-    return CountedNew(size);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return CountedNew(size); }
-void* operator new[](std::size_t size) { return CountedNew(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedNewNoThrow(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedNewNoThrow(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace ustl {
 namespace {
-
-// The number of global operator new calls `fn` makes.
-template <typename Fn>
-size_t CountNews(const Fn& fn) {
-  g_news.store(0);
-  g_count_news.store(true);
-  fn();
-  g_count_news.store(false);
-  return g_news.load();
-}
 
 // Each node's out-edges as plain values: (to, labels) per edge.
 using NodeEdges = std::vector<std::pair<int, std::vector<LabelId>>>;

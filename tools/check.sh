@@ -15,6 +15,7 @@
 #   persist        WAL + snapshot recovery, kill-tested
 #   drain          SIGTERM graceful drain
 #   badinput       malformed CLI input: typed errors, never an abort
+#   replay         --log then --replay of three tables, byte-compared
 #   bench          perf-regression gate over the BENCH_* trajectory
 #   perfbench      end-to-end benchmark build + output and work checks
 #   tsan           parallel subsystems under ThreadSanitizer
@@ -29,7 +30,7 @@ set -eu
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
 LEGS="tier1 columns wave serve faults observability profiling persist"
-LEGS="$LEGS drain badinput bench perfbench tsan asan debug"
+LEGS="$LEGS drain badinput replay bench perfbench tsan asan debug"
 
 BUILT=0
 build() {
@@ -371,6 +372,33 @@ leg_badinput() {
   expect_rejected "--scale" ./build/ustl-generate --dataset address \
     --scale abc --out build/badinput_scale.csv
   echo "bad-input smoke: typed errors, no aborts"
+}
+
+# Standardizes one generated table (the ustl-generate flags after NAME)
+# with its transformation log, replays the log on the raw table and
+# compares the two standardized CSVs.
+replay_table() {
+  name="$1"
+  shift
+  ./build/ustl-generate "$@" --out "build/replay_$name.csv"
+  ./build/ustl-consolidate --input "build/replay_$name.csv" \
+    --output "build/replay_$name.out.csv" --approve all --budget 100 \
+    --log "build/replay_$name.log"
+  ./build/ustl-consolidate --input "build/replay_$name.csv" \
+    --output "build/replay_$name.replayed.csv" --replay "build/replay_$name.log"
+  cmp "build/replay_$name.out.csv" "build/replay_$name.replayed.csv"
+}
+
+# Faithful replay: re-applying a session's transformation log (--replay)
+# rewrites exactly the recorded pairs, so it writes the session's
+# standardized table byte for byte. Three tables: a 3-column address
+# table, journaltitle and authorlist.
+leg_replay() {
+  build
+  replay_table address --dataset address --scale 0.05 --seed 21 --columns 3
+  replay_table journaltitle --dataset journaltitle --scale 0.1 --seed 22
+  replay_table authorlist --dataset authorlist --scale 0.1 --seed 23
+  echo "transformation-log replay smoke: byte-identical"
 }
 
 # Rerun the self-checking micro-kernel suite plus the robustness legs and
