@@ -1,6 +1,6 @@
 // Deterministic data parallelism for the USTL pipeline. A fixed-size
-// ThreadPool (no work stealing, no task dependencies) plus ParallelFor /
-// ParallelMap helpers with chunked scheduling.
+// ThreadPool (no work stealing, no task dependencies) plus a ParallelFor
+// helper with chunked scheduling.
 //
 // Design constraint: every parallel construct here is *scheduling-only*
 // parallelism. Which thread runs which index never influences results —
@@ -76,15 +76,6 @@ class ThreadPool {
 /// finished, matching what a serial loop would have surfaced first.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
-
-/// Maps [0, n) through fn into a vector, in parallel. Output order is
-/// index order regardless of scheduling. T must be default-constructible.
-template <typename T, typename Fn>
-std::vector<T> ParallelMap(ThreadPool* pool, size_t n, Fn&& fn) {
-  std::vector<T> out(n);
-  ParallelFor(pool, n, [&](size_t i) { out[i] = fn(i); });
-  return out;
-}
 
 }  // namespace ustl
 

@@ -56,7 +56,6 @@ ColumnRunResult StandardizeColumn(Column* column, VerificationOracle* oracle,
     context.program = group->program;
     context.presented = result.groups_presented;
     context.cancel = options.cancel;
-    context.request_id = options.request_id;
     context.trace = options.trace;
     context.trace_parent = options.trace_parent;
     Verdict verdict = oracle->VerifyWithContext(group_pairs, context);
@@ -117,7 +116,6 @@ ColumnRunResult StandardizeColumnSingle(Column* column,
     context.column = options.column_name;
     context.presented = result.groups_presented;
     context.cancel = options.cancel;
-    context.request_id = options.request_id;
     context.trace = options.trace;
     context.trace_parent = options.trace_parent;
     Verdict verdict = oracle->VerifyWithContext(group_pairs, context);

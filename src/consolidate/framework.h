@@ -72,16 +72,14 @@ struct FrameworkOptions {
   /// side effect; the partially edited column is abandoned by the caller.
   /// Inert by default.
   CancelToken cancel;
-  /// Serving-layer attribution: id of the request this column belongs to
-  /// (0 = none). Travels in the QuestionContext so per-request retry and
-  /// breaker events can name their request.
-  uint64_t request_id = 0;
   /// Per-request trace (obs/trace.h; null = untraced). StandardizeColumn
   /// opens candidates/apply spans under `trace_parent` (the serving
   /// layer's column span), forwards the context into the grouping options
   /// (graph_build, search_wave spans) and into every QuestionContext
-  /// (oracle batch/call attribution). Observability only: nothing in the
-  /// run reads it, so traced and untraced runs are byte-identical.
+  /// (oracle_call spans, retry and breaker events), which is how the
+  /// layers below attribute their work to the request. Observability
+  /// only: nothing in the run reads it, so traced and untraced runs are
+  /// byte-identical.
   TraceContext* trace = nullptr;
   uint64_t trace_parent = 0;
 };

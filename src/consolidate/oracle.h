@@ -53,14 +53,13 @@ struct QuestionContext {
   /// time; it never influences a verdict — verdicts stay pure functions
   /// of the pair list.
   CancelToken cancel;
-  /// Serving-layer request id (0 = none): lets decorators attribute
-  /// retry/breaker observability events to the asking request.
-  uint64_t request_id = 0;
   /// Per-request trace (obs/trace.h; null = untraced). Observability
-  /// only: brokers/decorators open oracle_call spans and retry events
-  /// against it under `trace_parent` (the asking column span). Never
-  /// part of the question content — verdicts stay pure functions of the
-  /// pair list, so traced and untraced runs are byte-identical.
+  /// only: brokers/decorators open oracle_call spans and record
+  /// oracle_retry / breaker_state events against it under
+  /// `trace_parent` (the asking column span), which attributes them to
+  /// the asking request. Never part of the question content — verdicts
+  /// stay pure functions of the pair list, so traced and untraced runs
+  /// are byte-identical.
   TraceContext* trace = nullptr;
   uint64_t trace_parent = 0;
 };

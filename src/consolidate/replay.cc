@@ -166,12 +166,23 @@ Result<std::vector<ApprovedTransformation>> ParseTransformationLog(
   std::vector<ApprovedTransformation> out;
   ApprovedTransformation current;
   bool has_program = false;
+  // First line of the block that set column, direction or a pair (0 =
+  // none): such a block without a program is malformed, not skippable.
+  size_t keyed_line = 0;
 
+  // Ends the block at a blank line or the end of the text; the next
+  // block starts from scratch either way.
   auto flush = [&]() -> Status {
-    if (!has_program) return Status::OK();
-    out.push_back(std::move(current));
+    if (has_program) {
+      out.push_back(std::move(current));
+    } else if (keyed_line != 0) {
+      return Status::InvalidArgument(
+          "transformation log line " + std::to_string(keyed_line) +
+          ": block has no 'program:' line");
+    }
     current = ApprovedTransformation{};
     has_program = false;
+    keyed_line = 0;
     return Status::OK();
   };
 
@@ -200,6 +211,10 @@ Result<std::vector<ApprovedTransformation>> ParseTransformationLog(
     }
     std::string_view key = line.substr(0, colon);
     std::string_view value = line.substr(colon + 2);
+    if (keyed_line == 0 &&
+        (key == "column" || key == "direction" || key == "pair")) {
+      keyed_line = line_number;
+    }
     if (key == "column") {
       current.column = std::string(value);
     } else if (key == "direction") {

@@ -62,8 +62,10 @@ size_t ReplayTransformations(
 ///
 /// `pair:` lines (zero or more, quoted with C-style escapes for
 /// backslash, quote, newline, CR) record the group's members. Blocks are
-/// blank-line separated; unknown "key: value" lines are ignored on parse
-/// (the CLI adds informational ones).
+/// blank-line separated and each needs its `program:` line: a block that
+/// sets `column:`, `direction:` or `pair:` without one is an error.
+/// Unknown "key: value" lines are ignored on parse, so a block of only
+/// those is skipped.
 std::string SerializeTransformationLog(
     const std::vector<ApprovedTransformation>& transformations);
 

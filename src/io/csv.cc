@@ -201,27 +201,21 @@ Result<ClusteredCsv> ReadClusteredCsv(std::string_view content,
   return out;
 }
 
-std::string WriteClusteredCsv(const ClusteredCsv& clustered,
-                              ThreadPool* pool) {
+std::string WriteClusteredCsv(const ClusteredCsv& clustered) {
   CsvRow header = {clustered.cluster_column};
   for (const std::string& name : clustered.table.column_names()) {
     header.push_back(name);
   }
-  std::vector<std::string> chunks = ParallelMap<std::string>(
-      pool, clustered.table.num_clusters(), [&](size_t c) {
-        std::string chunk;
-        for (const std::vector<std::string>& record :
-             clustered.table.cluster(c)) {
-          CsvRow row = {clustered.cluster_keys[c]};
-          for (const std::string& value : record) row.push_back(value);
-          chunk += WriteCsvRow(row);
-          chunk.push_back('\n');
-        }
-        return chunk;
-      });
   std::string out = WriteCsvRow(header);
   out.push_back('\n');
-  for (const std::string& chunk : chunks) out += chunk;
+  for (size_t c = 0; c < clustered.table.num_clusters(); ++c) {
+    for (const std::vector<std::string>& record : clustered.table.cluster(c)) {
+      CsvRow row = {clustered.cluster_keys[c]};
+      for (const std::string& value : record) row.push_back(value);
+      out += WriteCsvRow(row);
+      out.push_back('\n');
+    }
+  }
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/status.h"
 #include "consolidate/cluster.h"
 
@@ -54,12 +53,8 @@ struct ClusteredCsv {
 Result<ClusteredCsv> ReadClusteredCsv(std::string_view content,
                                       const std::string& cluster_column);
 
-/// Renders a clustered table back to CSV, cluster key first. A non-null
-/// `pool` escapes and joins each cluster's rows on worker threads; chunks
-/// are concatenated in cluster order, so the output is byte-identical for
-/// any thread count.
-std::string WriteClusteredCsv(const ClusteredCsv& clustered,
-                              ThreadPool* pool = nullptr);
+/// Renders a clustered table back to CSV, cluster key first.
+std::string WriteClusteredCsv(const ClusteredCsv& clustered);
 
 /// Renders golden records (one per cluster, truth-discovery output) as a
 /// CSV with the cluster key first and undecided values empty — the format

@@ -47,12 +47,7 @@ Verdict RetryingOracle::VerifyWithContext(
         closed_now = open_;
         open_ = false;
       }
-      if (closed_now) {
-        TraceRetryEvent(context, "breaker_state", {{"open", 0}});
-        if (options_.on_breaker) {
-          options_.on_breaker(context.request_id, /*open=*/false);
-        }
-      }
+      if (closed_now) TraceRetryEvent(context, "breaker_state", {{"open", 0}});
       return verdict;
     } catch (const CancelledError&) {
       throw;  // cancellation is not a backend failure; never retry it
@@ -64,7 +59,6 @@ Verdict RetryingOracle::VerifyWithContext(
           ++stats_.retries;
         }
         TraceRetryEvent(context, "oracle_retry", {{"attempt", attempt}});
-        if (options_.on_retry) options_.on_retry(context.request_id, attempt);
       }
     }
   }
@@ -85,12 +79,7 @@ Verdict RetryingOracle::VerifyWithContext(
       opened_now = true;
     }
   }
-  if (opened_now) {
-    TraceRetryEvent(context, "breaker_state", {{"open", 1}});
-    if (options_.on_breaker) {
-      options_.on_breaker(context.request_id, /*open=*/true);
-    }
-  }
+  if (opened_now) TraceRetryEvent(context, "breaker_state", {{"open", 1}});
   std::rethrow_exception(last_error);
 }
 

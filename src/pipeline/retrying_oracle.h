@@ -22,7 +22,6 @@
 #define USTL_PIPELINE_RETRYING_ORACLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <stdexcept>
 
@@ -52,6 +51,10 @@ struct RetryingOracleStats {
 
 class RetryingOracle : public VerificationOracle {
  public:
+  /// Each retry and breaker transition is reported once: as a point
+  /// event on the asking question's trace (QuestionContext::trace, under
+  /// trace_parent) — oracle_retry with the failed attempt's number,
+  /// breaker_state with open 1 or 0 — and in stats().
   struct Options {
     /// Total attempts per question (1 = no retry).
     int max_attempts = 3;
@@ -61,14 +64,6 @@ class RetryingOracle : public VerificationOracle {
     /// Calls while open up to and including the probe: the first
     /// cooldown - 1 short-circuit, the next one probes the backend.
     size_t breaker_cooldown_calls = 16;
-    /// Observability: called (outside the decorator's lock) after a
-    /// failed attempt schedules a retry, with the asking request id
-    /// (QuestionContext::request_id; 0 = unattributed) and the attempt
-    /// number just failed.
-    std::function<void(uint64_t, int)> on_retry;
-    /// Observability: called when the breaker opens (true) or closes
-    /// after a successful probe (false).
-    std::function<void(uint64_t, bool)> on_breaker;
   };
 
   RetryingOracle(VerificationOracle* backend, Options options)

@@ -112,8 +112,7 @@ ConsolidationService::ConsolidationService(VerificationOracle* backend,
                    : budget_),
       per_job_threads_(std::max(1, budget_ / workers_)),
       retrying_(options_.enable_retry
-                    ? std::make_unique<RetryingOracle>(backend_,
-                                                       WireRetryOptions())
+                    ? std::make_unique<RetryingOracle>(backend_, options_.retry)
                     : nullptr),
       broker_(retrying_ != nullptr
                   ? static_cast<VerificationOracle*>(retrying_.get())
@@ -686,7 +685,6 @@ void ConsolidationService::ExecuteColumn(Request* request, size_t column,
     token.Check();
     FrameworkOptions framework = request->framework;
     framework.cancel = token;
-    framework.request_id = request->id;
     framework.column_name = request->table->column_names()[column];
     framework.grouping.num_threads = grouping_threads;
     framework.grouping.shared_search_cache = &search_cache_;
@@ -743,14 +741,6 @@ void ConsolidationService::FinalizeRequest(Request* request) {
         "golden_records",
         static_cast<int64_t>(request->result.golden_records.size()));
   }
-  if (request->status == RequestStatus::kCancelled ||
-      request->status == RequestStatus::kDeadlineExceeded) {
-    ServeEvent cancelled;
-    cancelled.kind = ServeEvent::Kind::kCancelled;
-    cancelled.status = request->status;
-    Emit(*request, std::move(cancelled));
-  }
-
   ServeEvent event;
   event.kind = ServeEvent::Kind::kRequestDone;
   event.status = request->status;
@@ -841,21 +831,6 @@ void ConsolidationService::Emit(Request& request, ServeEvent event) {
   request.on_event(event);
 }
 
-void ConsolidationService::EmitForRequestId(uint64_t id, ServeEvent event) {
-  if (id == 0) return;
-  Request* request = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = requests_.find(id);
-    if (it == requests_.end()) return;
-    request = it->second.get();
-  }
-  // Safe outside the lock: the attributed request is blocked inside the
-  // broker on the very question being retried, so it cannot finalize (and
-  // be erased by Wait) while we emit.
-  Emit(*request, std::move(event));
-}
-
 size_t ConsolidationService::CheckStalls() {
   const int64_t threshold_us = StallThresholdUs(options_.stall_threshold_ms);
   if (threshold_us == 0) return 0;
@@ -935,27 +910,6 @@ void ConsolidationService::FireFlightDump(const char* reason) {
       recorder_->DumpJson(reason, MicrosSince(epoch_), context);
   flight_dumps_->Increment();
   if (options_.flight_dump_sink) options_.flight_dump_sink(dump);
-}
-
-RetryingOracle::Options ConsolidationService::WireRetryOptions() {
-  RetryingOracle::Options retry = options_.retry;
-  auto user_retry = retry.on_retry;
-  retry.on_retry = [this, user_retry](uint64_t id, int attempt) {
-    ServeEvent event;
-    event.kind = ServeEvent::Kind::kRetried;
-    event.attempt = attempt;
-    EmitForRequestId(id, std::move(event));
-    if (user_retry) user_retry(id, attempt);
-  };
-  auto user_breaker = retry.on_breaker;
-  retry.on_breaker = [this, user_breaker](uint64_t id, bool open) {
-    ServeEvent event;
-    event.kind = ServeEvent::Kind::kBreakerOpen;
-    event.status = open ? RequestStatus::kError : RequestStatus::kOk;
-    EmitForRequestId(id, std::move(event));
-    if (user_breaker) user_breaker(id, open);
-  };
-  return retry;
 }
 
 }  // namespace ustl

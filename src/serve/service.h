@@ -99,10 +99,12 @@ struct ServiceOptions {
   /// Waiting on a paused service without calling Resume() deadlocks.
   bool start_paused = false;
   /// Front the backend with a RetryingOracle (bounded retries and a
-  /// circuit breaker, pipeline/retrying_oracle.h). The service wires the
-  /// decorator's observability hooks to kRetried / kBreakerOpen events
-  /// and folds its counters into ServiceStats. Off = the backend is
-  /// called directly, exactly the pre-retry behavior.
+  /// circuit breaker, pipeline/retrying_oracle.h), configured by `retry`.
+  /// Each retry and breaker transition shows up once per channel: as an
+  /// oracle_retry / breaker_state point event under the asking column's
+  /// span (the request's trace and the flight recorder), in
+  /// ServiceStats::retry and in the ustl_retry_* gauges. Off = the
+  /// backend is called directly, exactly the pre-retry behavior.
   bool enable_retry = false;
   RetryingOracle::Options retry;
   /// Directory for durable warm state (src/persist/): the broker's
@@ -146,20 +148,12 @@ struct ServiceOptions {
 
 /// One streamed service event. kVerdict events carry the broker's answer
 /// for one presented group; kColumnDone / kRequestDone carry the
-/// accumulated counters. kRetried / kBreakerOpen surface the retry
-/// decorator's activity (enable_retry); kCancelled is emitted once when a
-/// cancelled or deadline-exceeded request finalizes, before its
-/// kRequestDone.
+/// accumulated counters, and kRequestDone, always the request's last
+/// event, its terminal status (a cancellation or deadline included).
+/// Retries and breaker transitions are not ServeEvents: they are trace
+/// point events and ServiceStats::retry counters (see enable_retry).
 struct ServeEvent {
-  enum class Kind {
-    kAdmitted,
-    kVerdict,
-    kColumnDone,
-    kRequestDone,
-    kRetried,
-    kCancelled,
-    kBreakerOpen
-  };
+  enum class Kind { kAdmitted, kVerdict, kColumnDone, kRequestDone };
   Kind kind = Kind::kAdmitted;
   uint64_t request = 0;
   std::string label;
@@ -177,11 +171,7 @@ struct ServeEvent {
   size_t groups_presented = 0;
   size_t groups_approved = 0;
   size_t edits = 0;
-  /// kRetried: the attempt number that just failed. kBreakerOpen: unused.
-  int attempt = 0;
-  /// kCancelled / kRequestDone: the request's terminal status.
-  /// kBreakerOpen: kOk when the breaker closed again (a successful
-  /// probe), kError when it opened.
+  /// kRequestDone: the request's terminal status (RequestResult::status).
   RequestStatus status = RequestStatus::kOk;
   /// Ordering/timing a consumer can correlate on: `seq` is the 1-based
   /// monotonic sequence number of this event within its request (assigned
@@ -401,18 +391,12 @@ class ConsolidationService {
   /// Serialized event delivery; stamps the event's per-request sequence
   /// number and service-relative timestamp under the event lock.
   void Emit(Request& request, ServeEvent event);
-  /// Emit for a request known only by id (retry decorator callbacks);
-  /// silently drops unattributed (id 0) or already-erased requests.
-  void EmitForRequestId(uint64_t id, ServeEvent event);
   /// Snapshot + WAL reset when the WAL outgrew its compaction threshold.
   /// Called at the tail of FinalizeRequest with NO lock held: it takes
   /// the broker mutex (ExportDurableState), which the durability
   /// listener path holds while appending — compacting from inside that
   /// path would self-deadlock.
   void MaybeCompact();
-  /// options_.retry with the service's kRetried / kBreakerOpen event
-  /// emission chained in front of any user callbacks.
-  RetryingOracle::Options WireRetryOptions();
   /// Constructor helper: registers every instrument and the snapshot
   /// collectors on metrics_.
   void RegisterMetrics();

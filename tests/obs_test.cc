@@ -6,7 +6,6 @@
 // keeps the relaxed-atomic claims honest.
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
+#include "vector_trace_sink.h"
 
 namespace ustl {
 namespace {
@@ -290,23 +290,6 @@ TEST(MetricsRegistryTest, ProcessMetricsExposeRssCpuFdsAndBuildInfo) {
   EXPECT_GT(fds->Value(), 0);
 #endif
 }
-
-/// Sink that keeps every span for structural assertions.
-class VectorTraceSink : public TraceSink {
- public:
-  void Emit(const TraceSpan& span) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    spans_.push_back(span);
-  }
-  std::vector<TraceSpan> spans() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return spans_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<TraceSpan> spans_;
-};
 
 TEST(TraceTest, CpuTimeIsCapturedAndClampedToWall) {
   VectorTraceSink sink;

@@ -1,4 +1,4 @@
-// Tests for src/common/parallel.h (ThreadPool, ParallelFor, ParallelMap)
+// Tests for src/common/parallel.h (ThreadPool, ParallelFor)
 // and the determinism contract of the parallel pipeline: the label ids a
 // structure group's graph build assigns are pinned, and grouping must be
 // bit-identical for any thread count.
@@ -110,16 +110,6 @@ TEST(ParallelForTest, ExceptionStillRunsIndependentChunks) {
                            }),
                std::runtime_error);
   EXPECT_EQ(ran.load(), 99u);
-}
-
-TEST(ParallelMapTest, PreservesIndexOrder) {
-  ThreadPool pool(8);
-  std::vector<int> squares =
-      ParallelMap<int>(&pool, 500, [](size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(squares.size(), 500u);
-  for (size_t i = 0; i < squares.size(); ++i) {
-    EXPECT_EQ(squares[i], static_cast<int>(i * i));
-  }
 }
 
 // ---------------------------------------------------------------------

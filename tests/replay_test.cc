@@ -106,6 +106,11 @@ TEST(TransformationLogTest, IgnoresUnknownKeysAndCrLf) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->size(), 1u);
   EXPECT_EQ((*parsed)[0].column, "a");
+  // A block of only unknown keys is skipped, not an error.
+  parsed = ParseTransformationLog("size: 12\n\nprogram: ConstantStr(\"x\")\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 1u);
+  EXPECT_EQ((*parsed)[0].column, "");
 }
 
 TEST(TransformationLogTest, RejectsMalformedInput) {
@@ -113,6 +118,15 @@ TEST(TransformationLogTest, RejectsMalformedInput) {
   EXPECT_FALSE(
       ParseTransformationLog("direction: sideways\nprogram: x\n").ok());
   EXPECT_FALSE(ParseTransformationLog("program: Bogus(1)\n").ok());
+  // A block without a program is malformed: its column, direction and
+  // pairs must not leak into the next block's program.
+  Result<std::vector<ApprovedTransformation>> no_program =
+      ParseTransformationLog(
+          "column: Address\ndirection: rhs->lhs\n"
+          "pair: \"9 Street\" -> \"9 St\"\n\nprogram: ConstantStr(\"x\")\n");
+  ASSERT_FALSE(no_program.ok());
+  EXPECT_NE(no_program.status().ToString().find("line 1"), std::string::npos)
+      << no_program.status().ToString();
 }
 
 TEST(TransformationLogTest, EmptyLogIsEmpty) {

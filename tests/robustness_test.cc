@@ -14,6 +14,7 @@
 
 #include "common/cancel.h"
 #include "consolidate/oracle.h"
+#include "obs/trace.h"
 #include "pipeline/fault_oracle.h"
 #include "pipeline/retrying_oracle.h"
 
@@ -23,6 +24,19 @@ namespace {
 std::vector<StringPair> Question(const std::string& tag) {
   return {{tag + " Street", tag + " St"}};
 }
+
+// Records the `open` attr of every breaker_state event (single-threaded
+// emitter).
+class BreakerStateSink : public TraceSink {
+ public:
+  void Emit(const TraceSpan& span) override {
+    if (span.name != "breaker_state") return;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "open") opens.push_back(value);
+    }
+  }
+  std::vector<int64_t> opens;
+};
 
 // Counts calls; approves everything.
 class CountingOracle : public VerificationOracle {
@@ -194,32 +208,38 @@ TEST(RetryingOracleTest, BreakerOpensDegradesAndProbesClosed) {
   options.max_attempts = 2;
   options.breaker_failure_threshold = 2;
   options.breaker_cooldown_calls = 3;
-  std::vector<bool> breaker_events;
-  options.on_breaker = [&breaker_events](uint64_t, bool open) {
-    breaker_events.push_back(open);
-  };
   RetryingOracle retrying(&faulty, options);
+  BreakerStateSink sink;
+  TraceContext trace(&sink, "breaker", SteadyNow());
+  QuestionContext context;
+  context.trace = &trace;
 
-  // Two exhausted questions open the breaker.
-  EXPECT_THROW(retrying.Verify(Question("a")), InjectedOracleError);
-  EXPECT_THROW(retrying.Verify(Question("b")), InjectedOracleError);
+  // Two exhausted questions open the breaker: one breaker_state event.
+  EXPECT_THROW(retrying.VerifyWithContext(Question("a"), context),
+               InjectedOracleError);
+  EXPECT_THROW(retrying.VerifyWithContext(Question("b"), context),
+               InjectedOracleError);
   EXPECT_TRUE(retrying.breaker_open());
-  ASSERT_EQ(breaker_events, std::vector<bool>{true});
+  ASSERT_EQ(sink.opens, std::vector<int64_t>{1});
 
   // While open the backend is never called: typed error, short-circuit.
   const size_t faults_before = faulty.faults_injected();
-  EXPECT_THROW(retrying.Verify(Question("c")), BreakerOpenError);
-  EXPECT_THROW(retrying.Verify(Question("d")), BreakerOpenError);
+  EXPECT_THROW(retrying.VerifyWithContext(Question("c"), context),
+               BreakerOpenError);
+  EXPECT_THROW(retrying.VerifyWithContext(Question("d"), context),
+               BreakerOpenError);
   EXPECT_EQ(faulty.faults_injected(), faults_before);
   RetryingOracleStats stats = retrying.stats();
   EXPECT_EQ(stats.breaker_opens, 1u);
   EXPECT_EQ(stats.short_circuits, 2u);
 
   // Third call while open is the probe; it reaches the (still failing)
-  // backend and the breaker stays open.
-  EXPECT_THROW(retrying.Verify(Question("e")), InjectedOracleError);
+  // backend and the breaker stays open, so no transition is reported.
+  EXPECT_THROW(retrying.VerifyWithContext(Question("e"), context),
+               InjectedOracleError);
   EXPECT_TRUE(retrying.breaker_open());
   EXPECT_GT(faulty.faults_injected(), faults_before);
+  EXPECT_EQ(sink.opens, std::vector<int64_t>{1});
 }
 
 TEST(RetryingOracleTest, CancellationIsNeverRetried) {

@@ -25,6 +25,7 @@
 #include "pipeline/fault_oracle.h"
 #include "pipeline/pipeline.h"
 #include "serve/service.h"
+#include "vector_trace_sink.h"
 
 namespace ustl {
 namespace {
@@ -548,7 +549,10 @@ TEST(ServiceFaultToleranceTest,
   }
 }
 
-TEST(ServiceFaultToleranceTest, RetriedQuestionsEmitKRetriedEvents) {
+TEST(ServiceFaultToleranceTest, RetriesAppearOnTheAskingRequestsTrace) {
+  // Every question fails once and succeeds on its retry. Each retry is
+  // reported once per channel: one oracle_retry point event under the
+  // asking column's span, and one count in ServiceStats::retry.
   FaultPlan plan;
   plan.fault_rate = 1.0;
   plan.failures_per_question = 1;
@@ -560,18 +564,27 @@ TEST(ServiceFaultToleranceTest, RetriedQuestionsEmitKRetriedEvents) {
   options.retry.max_attempts = 2;
   ConsolidationService service(&faulty, options);
   Table table = MakeTable("Elm", 1, 4);
-  size_t retried = 0;  // serialized callback: no lock needed
+  VectorTraceSink sink;
   RequestOptions request;
-  request.on_event = [&](const ServeEvent& event) {
-    if (event.kind == ServeEvent::Kind::kRetried) {
-      ++retried;
-      EXPECT_EQ(event.attempt, 1);  // first attempt failed
-    }
-  };
+  request.trace_sink = &sink;
   RequestResult result = service.Wait(service.Submit(&table, request));
   EXPECT_EQ(result.status, RequestStatus::kOk);
-  EXPECT_GT(retried, 0u);
-  EXPECT_EQ(service.stats().retry.retries, retried);
+
+  const std::vector<TraceSpan> spans = sink.spans();
+  std::map<uint64_t, std::string> names;  // one request: ids are unique
+  for (const TraceSpan& span : spans) names[span.id] = span.name;
+  size_t retries = 0;
+  for (const TraceSpan& span : spans) {
+    if (span.name != "oracle_retry") continue;
+    ++retries;
+    EXPECT_EQ(span.start_us, span.end_us);  // a point event
+    EXPECT_EQ(names[span.parent], "column");
+    const std::vector<std::pair<std::string, int64_t>> first_attempt = {
+        {"attempt", 1}};
+    EXPECT_EQ(span.attrs, first_attempt);
+  }
+  EXPECT_GT(retries, 0u);
+  EXPECT_EQ(service.stats().retry.retries, retries);
 }
 
 TEST(ServiceFaultToleranceTest, PreAdmissionCancelCommitsNothing) {
@@ -587,11 +600,9 @@ TEST(ServiceFaultToleranceTest, PreAdmissionCancelCommitsNothing) {
   options.start_paused = true;
   ApproveAllOracle oracle;
   ConsolidationService service(&oracle, options);
-  std::vector<ServeEvent::Kind> kinds;
+  std::vector<ServeEvent> events;  // serialized callback: no lock needed
   RequestOptions request;
-  request.on_event = [&](const ServeEvent& event) {
-    kinds.push_back(event.kind);
-  };
+  request.on_event = [&](const ServeEvent& event) { events.push_back(event); };
   const uint64_t doomed_handle = service.Submit(&doomed, request);
   const uint64_t survivor_handle = service.Submit(&survivor);
   service.Cancel(doomed_handle);
@@ -603,9 +614,11 @@ TEST(ServiceFaultToleranceTest, PreAdmissionCancelCommitsNothing) {
   EXPECT_TRUE(cancelled.golden_records.empty());
   EXPECT_EQ(FingerprintConsolidation(doomed, {}),
             FingerprintConsolidation(doomed_before, {}));  // untouched
-  ASSERT_GE(kinds.size(), 3u);
-  EXPECT_EQ(kinds[kinds.size() - 2], ServeEvent::Kind::kCancelled);
-  EXPECT_EQ(kinds.back(), ServeEvent::Kind::kRequestDone);
+  // The status is reported once, on the closing kRequestDone.
+  ASSERT_GE(events.size(), 2u);
+  EXPECT_EQ(events.front().kind, ServeEvent::Kind::kAdmitted);
+  EXPECT_EQ(events.back().kind, ServeEvent::Kind::kRequestDone);
+  EXPECT_EQ(events.back().status, RequestStatus::kCancelled);
 
   RequestResult alive = service.Wait(survivor_handle);
   EXPECT_EQ(alive.status, RequestStatus::kOk);
@@ -674,12 +687,16 @@ TEST(ServiceFaultToleranceTest, DeadlineExceededReturnsTypedStatus) {
   ConsolidationService service(&slow, options);
   Table doomed = MakeTable("Slow", 1, 8);
   const Table doomed_before = doomed;
+  ServeEvent last;  // serialized callback; read after Wait
   RequestOptions request;
   request.deadline_ms = 1;
+  request.on_event = [&](const ServeEvent& event) { last = event; };
   const auto started = std::chrono::steady_clock::now();
   RequestResult result = service.Wait(service.Submit(&doomed, request));
   const auto latency = std::chrono::steady_clock::now() - started;
   EXPECT_EQ(result.status, RequestStatus::kDeadlineExceeded);
+  EXPECT_EQ(last.kind, ServeEvent::Kind::kRequestDone);
+  EXPECT_EQ(last.status, RequestStatus::kDeadlineExceeded);
   EXPECT_TRUE(result.per_column.empty());
   EXPECT_EQ(FingerprintConsolidation(doomed, {}),
             FingerprintConsolidation(doomed_before, {}));

@@ -153,8 +153,11 @@ leg_serve() {
 
 # Retries may cost time, never bytes: the same tables under an
 # eventually-successful fault plan (every faulty backend call recovers
-# within the retry budget) match the clean baselines. A second sweep with
-# injected latency plus a far-future deadline checks the deadline
+# within the retry budget) match the clean baselines. The same plan
+# traced must also give a valid span stream that reports each retry
+# once: as many oracle_retry point events as the round summary's
+# "retries" (48 on these tables), and more than none. A second sweep
+# with injected latency plus a far-future deadline checks the deadline
 # plumbing is inert when it does not fire. Last, a plan that exhausts
 # one question's retries fails table a alone: ustl-serve reports it,
 # writes nothing for it, still writes b and c byte-identically and
@@ -166,6 +169,19 @@ leg_faults() {
       --fault-plan "rate=0.6,fails=2,seed=9" --retry-attempts 4
     cmp_serve_outputs
   done
+  ./build/ustl-serve --manifest build/serve_fwd.txt --threads 4 \
+    --fault-plan "rate=0.6,fails=2,seed=9" --retry-attempts 4 \
+    --trace-out build/serve_fault_trace.jsonl > build/serve_fault_traced.out
+  cmp_serve_outputs
+  python3 tools/check_trace.py build/serve_fault_trace.jsonl --min-requests 3
+  spans=$(grep -c '"name": "oracle_retry"' build/serve_fault_trace.jsonl ||
+    true)
+  retries=$(sed -n 's/.*"retries": \([0-9]*\).*/\1/p' \
+    build/serve_fault_traced.out)
+  if [ "$spans" = 0 ] || [ "$spans" != "$retries" ]; then
+    echo "traced fault serve: $spans oracle_retry spans, $retries retries"
+    exit 1
+  fi
   ./build/ustl-serve --manifest build/serve_fwd.txt --threads 4 \
     --fault-plan "rate=0.5,fails=1,slow=0.3,slow_ms=2,seed=11" \
     --deadline-ms 600000
@@ -327,10 +343,10 @@ expect_rejected() {
 
 # Bad user input gets a typed error, never an abort or a silent success:
 # a header naming the cluster column twice (through both CLIs), a
-# non-numeric budget (flag and manifest field), a zero retry budget and
-# malformed or out-of-range numeric flags on all three CLIs. (--threads
-# is only probed with junk: a large valid value starts that many
-# threads.)
+# non-numeric budget (flag and manifest field), a zero retry budget,
+# malformed or out-of-range numeric flags on all three CLIs and a
+# --replay log whose first block has no program. (--threads is only
+# probed with junk: a large valid value starts that many threads.)
 leg_badinput() {
   build
   ./build/ustl-generate --dataset address --scale 0.02 \
@@ -371,6 +387,12 @@ leg_badinput() {
     --scale 0.02 --seed abc --out build/badinput_seed.csv
   expect_rejected "--scale" ./build/ustl-generate --dataset address \
     --scale abc --out build/badinput_scale.csv
+  printf '%s\n' 'column: Address' 'direction: rhs->lhs' \
+    'pair: "9 Street" -> "9 St"' '' 'program: ConstantStr("x")' \
+    > build/badinput_noprogram.log
+  expect_rejected "no 'program:' line" ./build/ustl-consolidate \
+    --input build/badinput_ok.csv --output build/badinput_ok.out.csv \
+    --replay build/badinput_noprogram.log
   echo "bad-input smoke: typed errors, no aborts"
 }
 

@@ -12,12 +12,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <system_error>
 
-#include "common/parallel.h"
 #include "common/string_util.h"
 #include "datagen/generators.h"
 #include "io/csv.h"
@@ -31,7 +29,6 @@ struct Args {
   double scale = 0.3;
   uint64_t seed = 17;
   std::string out;
-  int threads = 1;
   size_t columns = 1;
 };
 
@@ -40,9 +37,7 @@ void Usage() {
                "usage: ustl-generate [--dataset address|authorlist|"
                "journaltitle]\n"
                "                     [--scale S] [--seed N]\n"
-               "                     [--columns N (default: 1)]\n"
-               "                     [--threads N (default: 1; 0 = all "
-               "cores)] --out FILE\n"
+               "                     [--columns N (default: 1)] --out FILE\n"
                "\n"
                "--columns N replicates the generated attribute into N "
                "columns\n(value1..valueN), producing a multi-column table "
@@ -101,9 +96,6 @@ int main(int argc, char** argv) {
           next_unsigned("--seed", 0, std::numeric_limits<uint64_t>::max());
     } else if (std::strcmp(argv[i], "--out") == 0) {
       args.out = next("--out");
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      args.threads = static_cast<int>(
-          next_unsigned("--threads", 0, std::numeric_limits<int>::max()));
     } else if (std::strcmp(argv[i], "--columns") == 0) {
       args.columns = next_unsigned("--columns", 1, 1024);
     } else {
@@ -159,12 +151,7 @@ int main(int argc, char** argv) {
                           std::vector<std::string>(args.columns, value));
     }
   }
-  std::unique_ptr<ThreadPool> pool;
-  if (ResolveThreadCount(args.threads) > 1) {
-    pool = std::make_unique<ThreadPool>(ResolveThreadCount(args.threads));
-  }
-  Status status =
-      WriteStringToFile(args.out, WriteClusteredCsv(csv, pool.get()));
+  Status status = WriteStringToFile(args.out, WriteClusteredCsv(csv));
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;

@@ -26,9 +26,10 @@
 // (fresh table copies each round; round r >= 2 outputs get an ".rR"
 // suffix). Later rounds run against warm verdict/search caches — the
 // summary lines show the oracle calls and pivot searches the warmth
-// saved. --events streams one JSON line per service event; events of
-// concurrent tables interleave in scheduling order (per-table order is
-// deterministic).
+// saved. --events streams one JSON line per service event (admitted,
+// verdict, column_done, and request_done with the table's status);
+// events of concurrent tables interleave in scheduling order (per-table
+// order is deterministic).
 //
 // Observability (obs/): --metrics-out FILE scrapes the service's metrics
 // registry into FILE — Prometheus text exposition, or a JSON snapshot
@@ -256,12 +257,6 @@ const char* EventKindName(ServeEvent::Kind kind) {
       return "column_done";
     case ServeEvent::Kind::kRequestDone:
       return "request_done";
-    case ServeEvent::Kind::kRetried:
-      return "retried";
-    case ServeEvent::Kind::kCancelled:
-      return "cancelled";
-    case ServeEvent::Kind::kBreakerOpen:
-      return "breaker_open";
   }
   return "unknown";
 }
@@ -296,13 +291,6 @@ void PrintEvent(const ServeEvent& event) {
     if (event.kind == ServeEvent::Kind::kRequestDone) {
       std::printf(", \"status\": \"%s\"", RequestStatusName(event.status));
     }
-  } else if (event.kind == ServeEvent::Kind::kRetried) {
-    std::printf(", \"attempt\": %d", event.attempt);
-  } else if (event.kind == ServeEvent::Kind::kCancelled) {
-    std::printf(", \"status\": \"%s\"", RequestStatusName(event.status));
-  } else if (event.kind == ServeEvent::Kind::kBreakerOpen) {
-    std::printf(", \"open\": %s",
-                event.status == RequestStatus::kOk ? "false" : "true");
   }
   std::printf("}\n");
   std::fflush(stdout);
